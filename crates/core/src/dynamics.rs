@@ -32,6 +32,7 @@
 //! selection, any rule), [`DynamicsEngine::transition_matrix_all_logit`] and
 //! [`DynamicsEngine::transition_matrix_sweep_round`].
 
+use crate::locality::RevisionTable;
 use crate::rules::{Logit, UpdateRule};
 use crate::schedules::SelectionSchedule;
 use logit_games::{Game, PotentialGame, ProfileSpace};
@@ -128,13 +129,15 @@ impl StepEvent {
 /// are themselves small descriptors). The profile space is materialised
 /// lazily — only the flat-index paths need it, and for large-`n` games it
 /// cannot even be represented (`|S|` overflows `usize`), while the profile
-/// engine runs fine without it.
+/// engine runs fine without it. The byte sweep's count-keyed revision
+/// table is built lazily beside it (see [`crate::locality`]).
 #[derive(Debug, Clone)]
 pub struct DynamicsEngine<G: Game, U: UpdateRule = Logit> {
     game: G,
     rule: U,
     beta: f64,
     space: OnceLock<ProfileSpace>,
+    pub(crate) revision_table: OnceLock<Option<RevisionTable>>,
 }
 
 /// The logit dynamics `M_β(G)` of the paper — the [`Logit`] instance of the
@@ -168,6 +171,7 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
             rule,
             beta,
             space: OnceLock::new(),
+            revision_table: OnceLock::new(),
         }
     }
 

@@ -20,6 +20,18 @@
 //!    capped at [`crate::runtime::RuntimeConfig`]`::block_players`, keeping
 //!    each worker's write stream and gather window L2-resident.
 //!
+//! Once the gathers are cheap, the sweep is compute-bound, which a fourth
+//! piece addresses: a **count-keyed revision table**. When a game declares
+//! a count kernel ([`LocalGame::count_graph`]: binary strategies, utilities
+//! keyed by `(degree, #neighbours playing 1)`), the byte sweeps look the
+//! rule's `[p0, p1]` up by `(degree, ones, current)` instead of evaluating
+//! utilities, `exp` and the normalisation per revision. Every entry is made
+//! by the same count kernel and [`UpdateRule::fill_probs`] call the direct
+//! path would make for that key, and the inverse-CDF draw is unchanged, so
+//! the table is bit-identical to direct computation. It is built once per
+//! engine, and only when it fits [`REVISION_TABLE_CAP`]; other games and
+//! larger tables keep the direct path.
+//!
 //! The layer is a *pure view*: draws stay keyed by the **original** player
 //! ids (the layout carries `labels[new] = old` into the engine), colour
 //! classes are transported verbatim through the permutation, and the
@@ -45,6 +57,65 @@ use logit_graphs::{bandwidth_of_ordering, rcm_ordering, Coloring, Graph, VertexO
 /// line-fill-buffer budget. Purely a hint: draws and utilities are
 /// untouched, so bit-identity is unaffected.
 const PREFETCH_AHEAD: usize = 8;
+
+/// Most `[p0, p1]` entries a [`RevisionTable`] may hold: 2048 entries of
+/// 16 bytes are 32 KiB, an L1 data cache. A larger table would miss cache
+/// on lookups and lose to direct computation, so past the cap the engine
+/// keeps the direct path.
+pub const REVISION_TABLE_CAP: usize = 2048;
+
+/// The byte sweep's count-keyed revision table: the update rule's
+/// `[p0, p1]` for every degree present in the game's count graph, every
+/// neighbour count `ones ∈ 0..=degree` and both current strategies.
+#[derive(Clone, Debug)]
+pub(crate) struct RevisionTable {
+    /// `start[d]`: the index of key `(d, 0, 0)` in `probs`. Entries for
+    /// degrees absent from the graph are never read.
+    start: Vec<u32>,
+    /// Key `(d, ones, current)` lives at `start[d] + 2·ones + current`.
+    probs: Vec<[f64; 2]>,
+}
+
+impl RevisionTable {
+    /// Tabulates `rule` at `beta` over `game`'s count keys; `None` when the
+    /// game has no count kernel or the table would exceed
+    /// [`REVISION_TABLE_CAP`].
+    fn build<G: LocalGame, U: UpdateRule>(game: &G, rule: &U, beta: f64) -> Option<Self> {
+        let graph = game.count_graph()?;
+        // The largest degree alone decides most over-cap graphs, before the
+        // histogram (max degree + 1 entries) is allocated.
+        if 2 * (graph.max_degree() + 1) > REVISION_TABLE_CAP {
+            return None;
+        }
+        let histogram = graph.degree_histogram();
+        let present = || (0..histogram.len()).filter(|&d| histogram[d] > 0);
+        if present().map(|d| 2 * (d + 1)).sum::<usize>() > REVISION_TABLE_CAP {
+            return None;
+        }
+        let mut start = vec![0; histogram.len()];
+        let mut probs = Vec::new();
+        let mut utils = [0.0; 2];
+        let mut p = Vec::with_capacity(2);
+        for degree in present() {
+            start[degree] = probs.len() as u32;
+            for ones in 0..=degree {
+                game.utilities_from_count(degree, ones, &mut utils);
+                for current in 0..2 {
+                    rule.fill_probs(beta, current, &utils, &mut p);
+                    probs.push([p[0], p[1]]);
+                }
+            }
+        }
+        Some(RevisionTable { start, probs })
+    }
+
+    /// The update distribution of a player with count key `(degree, ones)`
+    /// currently playing `current`.
+    #[inline]
+    fn lookup(&self, degree: usize, ones: usize, current: usize) -> &[f64; 2] {
+        &self.probs[self.start[degree] as usize + 2 * ones + current]
+    }
+}
 
 /// A bandwidth-minimising relabelling of a game's players, with everything
 /// the engine needs to run on the relabelled instance and map results back.
@@ -177,9 +248,47 @@ impl LocalityLayout {
 }
 
 impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
+    /// The count-keyed revision table of the byte sweeps, built on first
+    /// use; `None` when the game declares no count kernel or the table
+    /// would exceed [`REVISION_TABLE_CAP`].
+    pub(crate) fn revision_table(&self) -> Option<&RevisionTable> {
+        self.revision_table
+            .get_or_init(|| RevisionTable::build(self.game(), self.rule(), self.beta()))
+            .as_ref()
+    }
+
+    /// The byte sweeps' per-player kernel: `player`'s new strategy against
+    /// the byte `profile` for the uniform variate `u`. With a revision
+    /// table the rule's distribution is looked up by count key; without
+    /// one it is computed from the utilities. Both give the same
+    /// probabilities bit for bit, so the draw is the same either way.
+    #[inline]
+    fn revise_byte(
+        &self,
+        table: Option<&RevisionTable>,
+        player: usize,
+        profile: &[u8],
+        u: f64,
+        utils: &mut Vec<f64>,
+        probs: &mut Vec<f64>,
+    ) -> u8 {
+        let current = profile[player] as usize;
+        if let Some(table) = table {
+            let (degree, ones) = self.game().count_key_bytes(player, profile);
+            return sample_index_from_uniform(table.lookup(degree, ones, current), u) as u8;
+        }
+        utils.clear();
+        utils.resize(self.game().num_strategies(player), 0.0);
+        self.game()
+            .utilities_for_frozen_bytes(player, profile, utils);
+        self.rule().fill_probs(self.beta(), current, utils, probs);
+        sample_index_from_uniform(probs, u) as u8
+    }
+
     /// One coloured tick on a **byte** strategy profile, sequential: the
     /// players of colour class `t mod num_classes` revise in class order,
-    /// utilities through [`LocalGame::utilities_for_frozen_bytes`].
+    /// through the revision table when the game has one, else utilities
+    /// through [`LocalGame::utilities_for_frozen_bytes`].
     ///
     /// `labels`, when present, maps engine positions to **original** player
     /// ids (`labels[position] = original`): every draw is keyed by the
@@ -212,7 +321,7 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
             "colouring covers a different player count"
         );
         debug_assert_eq!(profile.len(), n);
-        let beta = self.beta();
+        let table = self.revision_table();
         let class = coloring.class_of_tick(t);
         let mut moved = 0;
         let (utils, probs) = scratch.rule_buffers();
@@ -221,19 +330,18 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
             if let Some(&ahead) = members.get(i + PREFETCH_AHEAD) {
                 self.game().prefetch_frozen_bytes(ahead);
             }
-            let m = self.game().num_strategies(player);
-            utils.clear();
-            utils.resize(m, 0.0);
+            let key = labels.map_or(player, |l| l[player] as usize);
             // A colour class is an independent set, so no revising player
             // can observe a same-tick update: reading the live profile here
             // is the same as reading the frozen pre-tick one.
-            self.game()
-                .utilities_for_frozen_bytes(player, profile, utils);
-            self.rule()
-                .fill_probs(beta, profile[player] as usize, utils, probs);
-            let key = labels.map_or(player, |l| l[player] as usize);
-            let strategy =
-                sample_index_from_uniform(probs, player_tick_uniform(seed, key, t)) as u8;
+            let strategy = self.revise_byte(
+                table,
+                player,
+                profile,
+                player_tick_uniform(seed, key, t),
+                utils,
+                probs,
+            );
             if profile[player] != strategy {
                 moved += 1;
             }
@@ -291,12 +399,15 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
         staged.resize(players.len(), 0);
         let chunk = config.sweep_chunk(players.len(), workers);
         let frozen: &[u8] = profile;
+        // Resolved before dispatch, so no worker waits on the first build.
+        let table = self.revision_table();
         pool.for_each_chunk(&mut staged, chunk, workers, &|index, out| {
             let start = index * chunk;
             let player_chunk = &players[start..start + out.len()];
             STAGE_BUFFERS.with(|buffers| {
                 let (utils, probs) = &mut *buffers.borrow_mut();
                 self.stage_class_bytes_with(
+                    table,
                     player_chunk,
                     t,
                     seed,
@@ -323,10 +434,12 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
     /// Samples the new strategies of `players` against the frozen byte
     /// `profile` into `staged` — the per-worker kernel of
     /// [`Self::step_coloured_pooled_bytes`]. Draw keys come from `labels`
-    /// when present (original player ids), else the positions themselves.
+    /// when present (original player ids), else the positions themselves;
+    /// `table` is the engine's revision table, if it has one.
     #[allow(clippy::too_many_arguments)]
     fn stage_class_bytes_with(
         &self,
+        table: Option<&RevisionTable>,
         players: &[usize],
         t: u64,
         seed: u64,
@@ -336,20 +449,13 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
         utils: &mut Vec<f64>,
         probs: &mut Vec<f64>,
     ) {
-        let beta = self.beta();
         for (i, (&player, slot)) in players.iter().zip(staged.iter_mut()).enumerate() {
             if let Some(&ahead) = players.get(i + PREFETCH_AHEAD) {
                 self.game().prefetch_frozen_bytes(ahead);
             }
-            let m = self.game().num_strategies(player);
-            utils.clear();
-            utils.resize(m, 0.0);
-            self.game()
-                .utilities_for_frozen_bytes(player, profile, utils);
-            self.rule()
-                .fill_probs(beta, profile[player] as usize, utils, probs);
             let key = labels.map_or(player, |l| l[player] as usize);
-            *slot = sample_index_from_uniform(probs, player_tick_uniform(seed, key, t)) as u8;
+            let u = player_tick_uniform(seed, key, t);
+            *slot = self.revise_byte(table, player, profile, u, utils, probs);
         }
     }
 }
@@ -358,8 +464,8 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
 mod tests {
     use super::*;
     use crate::dynamics::LogitDynamics;
-    use crate::rules::{MetropolisLogit, NoisyBestResponse};
-    use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame};
+    use crate::rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse};
+    use logit_games::{CongestionGame, CoordinationGame, GraphicalCoordinationGame, IsingGame};
     use logit_graphs::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -523,5 +629,148 @@ mod tests {
             assert_eq!(a, b, "moved count diverged at t={t}");
             assert_eq!(seq, pooled, "profiles diverged at t={t}");
         }
+    }
+
+    /// Runs the direct usize sweep (`step_coloured`), the sequential byte
+    /// sweep and the pooled byte sweep side by side from the same start,
+    /// asserting equal moved counts and equal profiles after every tick.
+    /// `table` states whether the byte sweeps should be on the revision
+    /// table.
+    fn check_byte_paths<G: LocalGame + Sync, U: UpdateRule>(
+        engine: &DynamicsEngine<G, U>,
+        table: bool,
+        pool: &WorkerPool,
+        config: &RuntimeConfig,
+        seed: u64,
+    ) {
+        assert_eq!(
+            engine.revision_table().is_some(),
+            table,
+            "revision table presence for {} at beta {}",
+            engine.rule().name(),
+            engine.beta()
+        );
+        let game = engine.game();
+        let coloring = coloring_for_graph(&logit_games::interaction_graph(game));
+        let n = game.num_players();
+        let mut direct: Vec<usize> = (0..n)
+            .map(|i| (i * 7 + seed as usize) % 5 % game.num_strategies(i))
+            .collect();
+        let mut seq: Vec<u8> = direct.iter().map(|&s| s as u8).collect();
+        let mut pooled = seq.clone();
+        let mut scratches: [Scratch; 3] = std::array::from_fn(|_| Scratch::for_game(game));
+        for t in 0..3 * coloring.num_classes() as u64 + 1 {
+            let [a, b, c] = &mut scratches;
+            let want = engine.step_coloured(&coloring, t, seed, &mut direct, a);
+            let got_seq = engine.step_coloured_bytes(&coloring, t, seed, None, &mut seq, b);
+            let got_pooled = engine.step_coloured_pooled_bytes(
+                &coloring,
+                t,
+                seed,
+                None,
+                &mut pooled,
+                c,
+                pool,
+                config,
+            );
+            let context = format!(
+                "{} at beta {}, n = {n}, t = {t}",
+                engine.rule().name(),
+                engine.beta()
+            );
+            assert_eq!(
+                (got_seq, got_pooled),
+                (want, want),
+                "moved counts, {context}"
+            );
+            assert!(
+                direct.iter().zip(&seq).all(|(&d, &s)| d == s as usize),
+                "byte sweep left the direct trajectory, {context}"
+            );
+            assert_eq!(seq, pooled, "pooled byte sweep diverged, {context}");
+        }
+    }
+
+    /// One rule across both count-kernel games, mixed-degree and regular
+    /// topologies and β from uniform noise to frozen.
+    fn check_rule_on_count_games<U: UpdateRule>(
+        rule: U,
+        pool: &WorkerPool,
+        config: &RuntimeConfig,
+    ) {
+        let topologies = [
+            GraphBuilder::grid(4, 5),
+            GraphBuilder::star(9),
+            GraphBuilder::hypercube(4),
+            GraphBuilder::clique(7),
+            GraphBuilder::circulant(24, 3),
+        ];
+        for (k, graph) in topologies.iter().enumerate() {
+            for (b, &beta) in [0.0, 0.1, 1.5, 40.0, 800.0].iter().enumerate() {
+                let seed = 0x7AB1E ^ ((k as u64) << 8) ^ b as u64;
+                let coord = GraphicalCoordinationGame::new(
+                    graph.clone(),
+                    CoordinationGame::from_deltas(2.0, 1.0),
+                );
+                let coord = DynamicsEngine::with_rule(coord, rule.clone(), beta);
+                check_byte_paths(&coord, true, pool, config, seed);
+                let ising = IsingGame::new(graph.clone(), 0.8, 0.3);
+                let ising = DynamicsEngine::with_rule(ising, rule.clone(), beta);
+                check_byte_paths(&ising, true, pool, config, seed ^ 0x15);
+            }
+        }
+    }
+
+    #[test]
+    fn revision_table_sweeps_match_the_direct_sweep() {
+        let config = RuntimeConfig {
+            workers: 2,
+            min_class_size: 1,
+            block_players: 3,
+            ..RuntimeConfig::default()
+        };
+        let pool = WorkerPool::new(&config);
+        check_rule_on_count_games(Logit, &pool, &config);
+        check_rule_on_count_games(MetropolisLogit, &pool, &config);
+        check_rule_on_count_games(NoisyBestResponse::new(0.15), &pool, &config);
+        check_rule_on_count_games(Fermi, &pool, &config);
+        check_rule_on_count_games(ImitateBetter::new(0.1), &pool, &config);
+
+        // Both direct-path cases: a game without a count kernel, and a star
+        // whose hub degree alone needs more than the cap.
+        let congestion = CongestionGame::load_balancing(12, 2, 1.0);
+        let congestion = DynamicsEngine::with_rule(congestion, MetropolisLogit, 1.5);
+        check_byte_paths(&congestion, false, &pool, &config, 0xC0);
+        let star = GraphicalCoordinationGame::new(
+            GraphBuilder::star(REVISION_TABLE_CAP / 2 + 1),
+            CoordinationGame::from_deltas(2.0, 1.0),
+        );
+        check_byte_paths(&LogitDynamics::new(star, 1.5), false, &pool, &config, 0x57);
+    }
+
+    #[test]
+    fn revision_table_holds_every_present_degree_up_to_the_cap() {
+        // Two disjoint stars with hubs of degree `a` and `b`: degrees
+        // {1, a, b} need 2·2 + 2(a+1) + 2(b+1) entries, while the largest
+        // degree alone fits the cap — so only the summed check decides.
+        fn two_stars(a: usize, b: usize) -> IsingGame {
+            let hub_b = a + 1;
+            let edges: Vec<(usize, usize)> = (1..=a)
+                .map(|leaf| (0, leaf))
+                .chain((1..=b).map(|leaf| (hub_b, hub_b + leaf)))
+                .collect();
+            IsingGame::new(Graph::from_edges(a + b + 2, &edges), 0.5, 0.1)
+        }
+        let fits = two_stars(500, 520);
+        let table = RevisionTable::build(&fits, &Logit, 1.0).expect("exactly at the cap");
+        assert_eq!(table.probs.len(), REVISION_TABLE_CAP);
+        for (degree, ones, current) in [(1, 1, 0), (500, 0, 1), (520, 520, 1)] {
+            let mut utils = [0.0; 2];
+            fits.utilities_from_count(degree, ones, &mut utils);
+            let mut probs = Vec::new();
+            Logit.fill_probs(1.0, current, &utils, &mut probs);
+            assert_eq!(table.lookup(degree, ones, current)[..], probs[..]);
+        }
+        assert!(RevisionTable::build(&two_stars(500, 521), &Logit, 1.0).is_none());
     }
 }

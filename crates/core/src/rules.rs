@@ -26,6 +26,11 @@
 /// holds at the call sites.
 pub trait UpdateRule: std::fmt::Debug + Clone + Send + Sync {
     /// Fills `probs` (cleared first) with the update distribution.
+    ///
+    /// Must be a pure function of `(beta, current, utils)`: the byte sweep
+    /// tabulates it once per count key and reuses the entries for every
+    /// later revision with the same inputs (see
+    /// [`crate::locality`]).
     fn fill_probs(&self, beta: f64, current: usize, utils: &[f64], probs: &mut Vec<f64>);
 
     /// Short identifier used in reports and benchmark rows.

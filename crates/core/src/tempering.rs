@@ -38,7 +38,7 @@ use logit_linalg::Vector;
 use logit_markov::{compose, product_distribution, swap_chain, tensor_product_chain, MarkovChain};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Swap-rate diagnostics: per adjacent pair, how many swaps were attempted
 /// and how many were accepted.
@@ -160,6 +160,34 @@ impl TemperingState {
 #[derive(Debug, Clone)]
 pub struct TemperingEnsemble<G: Game, U: UpdateRule> {
     engines: Vec<DynamicsEngine<Arc<G>, U>>,
+    /// The swap phase's registry handles, resolved on the first swap phase
+    /// that records (never in a build or process with recording off).
+    telemetry: OnceLock<SwapTelemetry>,
+}
+
+/// The swap phase's instruments: the `tempering.swaps_attempted` and
+/// `tempering.swaps_accepted` counters and one
+/// `tempering.swap_rate{pair}` gauge per adjacent pair.
+#[derive(Debug, Clone)]
+struct SwapTelemetry {
+    attempted: logit_telemetry::Counter,
+    accepted: logit_telemetry::Counter,
+    swap_rates: Vec<logit_telemetry::Gauge>,
+}
+
+impl SwapTelemetry {
+    fn resolve(pairs: usize) -> Self {
+        let registry = logit_telemetry::global();
+        SwapTelemetry {
+            attempted: registry.counter("tempering.swaps_attempted"),
+            accepted: registry.counter("tempering.swaps_accepted"),
+            swap_rates: (0..pairs)
+                .map(|pair| {
+                    registry.gauge_labelled("tempering.swap_rate", ("pair", &pair.to_string()))
+                })
+                .collect(),
+        }
+    }
 }
 
 impl<G: Game, U: UpdateRule> TemperingEnsemble<G, U> {
@@ -187,7 +215,10 @@ impl<G: Game, U: UpdateRule> TemperingEnsemble<G, U> {
             .iter()
             .map(|&beta| DynamicsEngine::with_rule(Arc::clone(&shared), rule.clone(), beta))
             .collect();
-        Self { engines }
+        Self {
+            engines,
+            telemetry: OnceLock::new(),
+        }
     }
 }
 
@@ -328,20 +359,15 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
                 }
             }
             // Publish the live acceptance picture once per swap phase (K-1
-            // gauge stores, never per proposal). Guarded so the disabled
-            // path pays neither the label formatting nor registry lookups.
+            // gauge stores, never per proposal) through handles resolved
+            // once per ensemble. Guarded so the disabled path never
+            // resolves them.
             if logit_telemetry::enabled() {
-                let registry = logit_telemetry::global();
-                registry
-                    .counter("tempering.swaps_attempted")
-                    .add((k - 1) as u64);
-                registry
-                    .counter("tempering.swaps_accepted")
-                    .add(accepted as u64);
-                for pair in 0..k - 1 {
-                    registry
-                        .gauge_labelled("tempering.swap_rate", ("pair", &pair.to_string()))
-                        .set(state.stats.rate(pair));
+                let telemetry = self.telemetry.get_or_init(|| SwapTelemetry::resolve(k - 1));
+                telemetry.attempted.add((k - 1) as u64);
+                telemetry.accepted.add(accepted as u64);
+                for (pair, gauge) in telemetry.swap_rates.iter().enumerate() {
+                    gauge.set(state.stats.rate(pair));
                 }
             }
         }

@@ -10,7 +10,10 @@
 use logit_core::observables::PotentialObservable;
 use logit_core::parallel::coloring_for_game;
 use logit_core::rules::{Logit, MetropolisLogit};
-use logit_core::{DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, WorkerPool};
+use logit_core::{
+    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, TemperingEnsemble,
+    UniformSingle, WorkerPool,
+};
 use logit_games::{Game, GraphicalCoordinationGame, TablePotentialGame};
 use logit_graphs::GraphBuilder;
 use rand::rngs::StdRng;
@@ -83,6 +86,26 @@ fn live_recording_observes_without_steering() {
             "pooled diverged at t = {t} under live telemetry"
         );
         assert_eq!(moved_seq, moved_pooled);
+    }
+
+    // The tempering swap phase publishes through handles resolved once per
+    // ensemble: the counter advances by K - 1 proposals per round, and each
+    // pair's gauge carries this ensemble's live acceptance rate.
+    let registry = logit_telemetry::global();
+    let attempted_before = registry.counter("tempering.swaps_attempted").value();
+    let ensemble = TemperingEnsemble::new(coord.clone(), Logit, &[0.2, 0.8, 1.6]);
+    let mut state = ensemble.init_state(&vec![0; n], 77);
+    let rounds = 12;
+    for _ in 0..rounds {
+        ensemble.round(&UniformSingle, &mut state, 9);
+    }
+    assert_eq!(
+        registry.counter("tempering.swaps_attempted").value() - attempted_before,
+        2 * rounds
+    );
+    for pair in 0..2 {
+        let gauge = registry.gauge_labelled("tempering.swap_rate", ("pair", &pair.to_string()));
+        assert_eq!(gauge.value(), state.swap_stats().rate(pair));
     }
 
     // Both layers must have left their instrument families behind.

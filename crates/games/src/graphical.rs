@@ -115,9 +115,18 @@ impl GraphicalCoordinationGame {
     /// arithmetic (same neighbour-count kernel), so the two hooks agree
     /// bitwise on corresponding profiles.
     pub(crate) fn utilities_readonly_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
+        let (degree, ones) = self.count_key_bytes(player, profile);
+        self.utilities_from_ones(degree, ones, out);
+    }
+
+    /// `(degree, #neighbours playing 1)` of `player` against a byte-packed
+    /// profile: the CSR gather behind [`Self::utilities_readonly_bytes`],
+    /// and the key of the byte sweep's revision table.
+    #[inline]
+    pub(crate) fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
         let row = self.csr.neighbors(player);
         let ones: usize = row.iter().map(|&j| profile[j as usize] as usize).sum();
-        self.utilities_from_ones(row.len(), ones, out);
+        (row.len(), ones)
     }
 
     /// The shared counting kernel: only `(degree, #neighbours on 1)` enter
@@ -125,7 +134,7 @@ impl GraphicalCoordinationGame {
     /// same float expressions — the bitwise-agreement anchor of the
     /// relabelled byte engine.
     #[inline]
-    fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]) {
+    pub(crate) fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), 2);
         let zeros = (degree - ones) as f64;
         let ones = ones as f64;

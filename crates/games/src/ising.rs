@@ -166,15 +166,24 @@ impl IsingGame {
     /// (the SoA buffer of the cache-blocked coloured sweeps), through the
     /// same counting kernel for bitwise agreement.
     pub(crate) fn utilities_readonly_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
+        let (degree, ones) = self.count_key_bytes(player, profile);
+        self.utilities_from_ones(degree, ones, out);
+    }
+
+    /// `(degree, #neighbours playing 1)` of `player` against a byte-packed
+    /// profile: the CSR gather behind [`Self::utilities_readonly_bytes`],
+    /// and the key of the byte sweep's revision table.
+    #[inline]
+    pub(crate) fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
         let row = self.csr.neighbors(player);
         let ones: usize = row.iter().map(|&j| profile[j as usize] as usize).sum();
-        self.utilities_from_ones(row.len(), ones, out);
+        (row.len(), ones)
     }
 
     /// Shared kernel: neighbour spin sum from the up-spin count, then the
     /// two candidate utilities.
     #[inline]
-    fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]) {
+    pub(crate) fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), 2);
         let neighbour_sum = (2 * ones as i64 - degree as i64) as f64;
         out[0] = -(self.coupling * neighbour_sum + self.field);

@@ -77,6 +77,43 @@ pub trait LocalGame: Game {
     #[inline]
     fn prefetch_frozen_bytes(&self, _player: usize) {}
 
+    /// The graph of the game's **count kernel**, if it has one: `Some(g)`
+    /// declares that every player has two strategies and that player `i`'s
+    /// utilities depend on the profile only through the key
+    /// `(g.degree(i), #neighbours playing 1)` — so a byte sweep in
+    /// `logit-core` can tabulate the update rule once per key instead of
+    /// evaluating it per revision. `None` (the default) keeps the sweep on
+    /// direct computation.
+    ///
+    /// When this returns `Some`, [`count_key_bytes`](Self::count_key_bytes)
+    /// and [`utilities_from_count`](Self::utilities_from_count) must satisfy
+    /// `utilities_from_count(count_key_bytes(i, x)) ==
+    /// utilities_for_frozen_bytes(i, x)` bitwise, for every player and byte
+    /// profile.
+    fn count_graph(&self) -> Option<&Graph> {
+        None
+    }
+
+    /// The count key `(degree, #neighbours playing 1)` of `player` against
+    /// a byte-packed profile. Only meaningful when
+    /// [`count_graph`](Self::count_graph) is `Some`; the default gathers
+    /// over [`neighbors_of`](Self::neighbors_of).
+    fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
+        let row = self.neighbors_of(player);
+        (row.len(), row.iter().map(|&j| profile[j] as usize).sum())
+    }
+
+    /// The count kernel: fills `out` (length 2) with the utilities of a
+    /// player whose count key is `(degree, ones)`.
+    ///
+    /// # Panics
+    /// The default panics: a game only reaches this after declaring a
+    /// count kernel through [`count_graph`](Self::count_graph), and every
+    /// game that does overrides it.
+    fn utilities_from_count(&self, _degree: usize, _ones: usize, _out: &mut [f64]) {
+        unreachable!("utilities_from_count on a game without a count kernel")
+    }
+
     /// Size of `player`'s neighbourhood.
     fn degree(&self, player: usize) -> usize {
         self.neighbors_of(player).len()
@@ -114,6 +151,15 @@ impl<G: LocalGame + ?Sized> LocalGame for &G {
     fn prefetch_frozen_bytes(&self, player: usize) {
         (**self).prefetch_frozen_bytes(player)
     }
+    fn count_graph(&self) -> Option<&Graph> {
+        (**self).count_graph()
+    }
+    fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
+        (**self).count_key_bytes(player, profile)
+    }
+    fn utilities_from_count(&self, degree: usize, ones: usize, out: &mut [f64]) {
+        (**self).utilities_from_count(degree, ones, out)
+    }
 }
 
 /// Shared-ownership locality: a replica ensemble's engines hold the game
@@ -134,6 +180,15 @@ impl<G: LocalGame + ?Sized> LocalGame for std::sync::Arc<G> {
     fn prefetch_frozen_bytes(&self, player: usize) {
         (**self).prefetch_frozen_bytes(player)
     }
+    fn count_graph(&self) -> Option<&Graph> {
+        (**self).count_graph()
+    }
+    fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
+        (**self).count_key_bytes(player, profile)
+    }
+    fn utilities_from_count(&self, degree: usize, ones: usize, out: &mut [f64]) {
+        (**self).utilities_from_count(degree, ones, out)
+    }
 }
 
 impl LocalGame for GraphicalCoordinationGame {
@@ -149,6 +204,15 @@ impl LocalGame for GraphicalCoordinationGame {
     fn prefetch_frozen_bytes(&self, player: usize) {
         self.csr().prefetch_row(player);
     }
+    fn count_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
+    }
+    fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
+        GraphicalCoordinationGame::count_key_bytes(self, player, profile)
+    }
+    fn utilities_from_count(&self, degree: usize, ones: usize, out: &mut [f64]) {
+        self.utilities_from_ones(degree, ones, out);
+    }
 }
 
 impl LocalGame for IsingGame {
@@ -163,6 +227,15 @@ impl LocalGame for IsingGame {
     }
     fn prefetch_frozen_bytes(&self, player: usize) {
         self.csr().prefetch_row(player);
+    }
+    fn count_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
+    }
+    fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
+        IsingGame::count_key_bytes(self, player, profile)
+    }
+    fn utilities_from_count(&self, degree: usize, ones: usize, out: &mut [f64]) {
+        self.utilities_from_ones(degree, ones, out);
     }
 }
 
@@ -378,6 +451,38 @@ mod tests {
         check(&congestion, &[0, 1, 1, 0]);
         check(&&coord, &[1, 1, 0, 0, 1, 0, 1, 0, 1]);
         check(&std::sync::Arc::new(ising), &[0, 1, 1, 0, 1, 0, 0, 1]);
+    }
+
+    /// The count kernel applied to the count key must reproduce the byte
+    /// hook bitwise on the graph-backed games, through the forwarding
+    /// layers too; congestion games declare no count kernel.
+    #[test]
+    fn count_kernel_matches_the_byte_hook_bitwise() {
+        fn check<G: LocalGame>(game: &G, profile: &[u8]) {
+            let graph = game.count_graph().expect("a count kernel");
+            for player in 0..game.num_players() {
+                let (degree, ones) = game.count_key_bytes(player, profile);
+                assert_eq!(degree, graph.degree(player));
+                let mut direct = [0.0; 2];
+                let mut counted = [0.0; 2];
+                game.utilities_for_frozen_bytes(player, profile, &mut direct);
+                game.utilities_from_count(degree, ones, &mut counted);
+                assert_eq!(direct.map(f64::to_bits), counted.map(f64::to_bits));
+            }
+        }
+        let coord = GraphicalCoordinationGame::new(
+            GraphBuilder::grid(3, 4),
+            CoordinationGame::new(5.0, 4.0, 1.0, 2.0),
+        );
+        let profile = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0];
+        check(&coord, &profile);
+        check(&&coord, &profile);
+        let ising = IsingGame::new(GraphBuilder::star(6), 0.7, 0.2);
+        check(&ising, &[1, 0, 1, 1, 0, 1]);
+        check(&std::sync::Arc::new(ising), &[0, 1, 0, 0, 1, 1]);
+        assert!(CongestionGame::load_balancing(4, 2, 1.5)
+            .count_graph()
+            .is_none());
     }
 
     /// The bridge reproduces the social graph for graph-backed games and

@@ -42,7 +42,7 @@ use logit_core::{CancelToken, Simulator};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
@@ -176,6 +176,9 @@ pub struct RunningServer {
     executor_thread: Option<thread::JoinHandle<()>>,
     /// Kept so the executor's receiver stays open until shutdown.
     queue_tx: Option<SyncSender<ExecRequest>>,
+    /// Connection-handler threads the listener holds, as of its last
+    /// accept.
+    retained: Arc<AtomicUsize>,
 }
 
 impl RunningServer {
@@ -188,6 +191,7 @@ impl RunningServer {
         let stats = Arc::new(ServerStats::default());
         let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
         let (queue_tx, queue_rx) = sync_channel::<ExecRequest>(config.queue_capacity);
+        let retained = Arc::new(AtomicUsize::new(0));
 
         let executor_thread = {
             let stats = Arc::clone(&stats);
@@ -202,9 +206,10 @@ impl RunningServer {
             let stats = Arc::clone(&stats);
             let cache = Arc::clone(&cache);
             let queue_tx = queue_tx.clone();
+            let retained = Arc::clone(&retained);
             thread::Builder::new()
                 .name("logit-serve-listener".into())
-                .spawn(move || listener_loop(listener, stop, stats, cache, queue_tx))?
+                .spawn(move || listener_loop(listener, stop, stats, cache, queue_tx, retained))?
         };
 
         Ok(RunningServer {
@@ -215,12 +220,21 @@ impl RunningServer {
             listener_thread: Some(listener_thread),
             executor_thread: Some(executor_thread),
             queue_tx: Some(queue_tx),
+            retained,
         })
     }
 
     /// The bound address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// How many connection-handler threads the listener held after its
+    /// last accept: the open connections plus any that closed since. It
+    /// reaps finished handlers on every accept, so this tracks concurrent
+    /// connections, not connections served.
+    pub fn retained_handlers(&self) -> usize {
+        self.retained.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the monotonic counters.
@@ -287,14 +301,19 @@ fn listener_loop(
     stats: Arc<ServerStats>,
     cache: Arc<ArtifactCache>,
     queue_tx: SyncSender<ExecRequest>,
+    retained: Arc<AtomicUsize>,
 ) {
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
     let job_ids = Arc::new(AtomicU64::new(1));
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Reap the handlers that have finished, so a long-lived server
+        // holds only its open connections' threads, not one per
+        // connection ever served.
+        handlers.retain(|handle| !handle.is_finished());
         let stats = Arc::clone(&stats);
         let cache = Arc::clone(&cache);
         let queue_tx = queue_tx.clone();
@@ -307,6 +326,7 @@ fn listener_loop(
         {
             handlers.push(handle);
         }
+        retained.store(handlers.len(), Ordering::Relaxed);
     }
     for handle in handlers {
         let _ = handle.join();

@@ -10,8 +10,8 @@
 //! queue must leave no fingerprints on results.
 
 use logit_server::{
-    prepare, run_direct, submit_job, submit_raw, ArtifactCache, ClientOutcome, JobSpec,
-    RunningServer, ServerConfig,
+    prepare, request_stats, run_direct, submit_job, submit_raw, ArtifactCache, ClientOutcome,
+    JobSpec, RunningServer, ServerConfig,
 };
 use std::thread;
 
@@ -282,4 +282,24 @@ fn the_artifact_cache_is_shared_and_lru_bounded() {
     assert!(stats.artifact_cache.misses >= 3);
     assert!(stats.artifact_cache.evictions >= 1);
     assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
+fn sequential_connections_leave_a_bounded_number_of_handler_threads() {
+    // Every connection gets a handler thread; the listener must reap them
+    // as they finish instead of holding one handle per connection served.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let connections = 200;
+    for _ in 0..connections {
+        request_stats(addr).expect("stats probe");
+    }
+    // A handler may still be closing when the next accept reaps, so allow
+    // a few stragglers, far below one per connection.
+    let retained = server.retained_handlers();
+    assert!(
+        retained <= 8,
+        "{retained} handler threads retained after {connections} sequential connections"
+    );
+    server.shutdown();
 }
