@@ -21,16 +21,29 @@
 //!    each worker's write stream and gather window L2-resident.
 //!
 //! Once the gathers are cheap, the sweep is compute-bound, which a fourth
-//! piece addresses: a **count-keyed revision table**. When a game declares
+//! piece addresses: a **count-keyed threshold table**. When a game declares
 //! a count kernel ([`LocalGame::count_graph`]: binary strategies, utilities
-//! keyed by `(degree, #neighbours playing 1)`), the byte sweeps look the
-//! rule's `[p0, p1]` up by `(degree, ones, current)` instead of evaluating
-//! utilities, `exp` and the normalisation per revision. Every entry is made
-//! by the same count kernel and [`UpdateRule::fill_probs`] call the direct
-//! path would make for that key, and the inverse-CDF draw is unchanged, so
-//! the table is bit-identical to direct computation. It is built once per
-//! engine, and only when it fits [`REVISION_TABLE_CAP`]; other games and
-//! larger tables keep the direct path.
+//! keyed by `(degree, #neighbours playing 1)`), the byte sweeps look one
+//! `f64` threshold up by `(degree, ones, current)` and draw
+//! `(u >= threshold) as u8`, instead of evaluating utilities, `exp`, the
+//! normalisation and the inverse-CDF scan per revision. Each threshold is
+//! derived from the `[p0, p1]` the same count kernel and
+//! [`UpdateRule::fill_probs`] call would give the direct path, so that the
+//! comparison picks exactly the index the scan would: `p0` when `p1 > 0`;
+//! `+∞` (always 0) when only `p0` is positive; `0.0` (always 1, the scan's
+//! last-index fallback) when both are zero. A rule that yields a NaN gets
+//! no table. The table is built once per engine, and only when it fits
+//! [`REVISION_TABLE_CAP`]; other games and larger tables keep the direct
+//! path.
+//!
+//! Around the ticks, [`Simulator::run_coloured_locality`] packs the start
+//! profile into bytes and unpacks the result on the same pool and with the
+//! same chunking as the class sweep: the pack gathers
+//! `out[k] = start[labels[k]]`, the unpack gathers
+//! `out[v] = bytes[ordering.position_of(v)]`, so both write their output
+//! sequentially and neither zero-fills it first.
+//!
+//! [`Simulator::run_coloured_locality`]: crate::simulate::Simulator::run_coloured_locality
 //!
 //! The layer is a *pure view*: draws stay keyed by the **original** player
 //! ids (the layout carries `labels[new] = old` into the engine), colour
@@ -47,6 +60,7 @@ use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
 use logit_games::{interaction_graph, LocalGame};
 use logit_graphs::{bandwidth_of_ordering, rcm_ordering, Coloring, Graph, VertexOrdering};
+use std::mem::MaybeUninit;
 
 /// How many players ahead of the revision the byte sweeps issue
 /// [`LocalGame::prefetch_frozen_bytes`]. A colour-class sweep strides the
@@ -58,28 +72,31 @@ use logit_graphs::{bandwidth_of_ordering, rcm_ordering, Coloring, Graph, VertexO
 /// untouched, so bit-identity is unaffected.
 const PREFETCH_AHEAD: usize = 8;
 
-/// Most `[p0, p1]` entries a [`RevisionTable`] may hold: 2048 entries of
-/// 16 bytes are 32 KiB, an L1 data cache. A larger table would miss cache
-/// on lookups and lose to direct computation, so past the cap the engine
-/// keeps the direct path.
+/// Most entries a [`RevisionTable`] may hold: 2048 thresholds of 8 bytes
+/// are 16 KiB, half an L1 data cache. A larger table would miss cache on
+/// lookups and lose to direct computation, so past the cap the engine keeps
+/// the direct path. Each entry is one `f64` threshold that reproduces the
+/// inverse-CDF draw over the rule's `[p0, p1]` exactly, rounding-gap
+/// fallback included.
 pub const REVISION_TABLE_CAP: usize = 2048;
 
-/// The byte sweep's count-keyed revision table: the update rule's
-/// `[p0, p1]` for every degree present in the game's count graph, every
-/// neighbour count `ones ∈ 0..=degree` and both current strategies.
+/// The byte sweep's count-keyed revision table: for every degree present
+/// in the game's count graph, every neighbour count `ones ∈ 0..=degree`
+/// and both current strategies, the [`draw_threshold`] of the update
+/// rule's `[p0, p1]`.
 #[derive(Clone, Debug)]
 pub(crate) struct RevisionTable {
-    /// `start[d]`: the index of key `(d, 0, 0)` in `probs`. Entries for
-    /// degrees absent from the graph are never read.
+    /// `start[d]`: the index of key `(d, 0, 0)` in `thresholds`. Entries
+    /// for degrees absent from the graph are never read.
     start: Vec<u32>,
     /// Key `(d, ones, current)` lives at `start[d] + 2·ones + current`.
-    probs: Vec<[f64; 2]>,
+    thresholds: Vec<f64>,
 }
 
 impl RevisionTable {
     /// Tabulates `rule` at `beta` over `game`'s count keys; `None` when the
-    /// game has no count kernel or the table would exceed
-    /// [`REVISION_TABLE_CAP`].
+    /// game has no count kernel, the table would exceed
+    /// [`REVISION_TABLE_CAP`], or the rule yields a NaN for some key.
     fn build<G: LocalGame, U: UpdateRule>(game: &G, rule: &U, beta: f64) -> Option<Self> {
         let graph = game.count_graph()?;
         // The largest degree alone decides most over-cap graphs, before the
@@ -93,27 +110,55 @@ impl RevisionTable {
             return None;
         }
         let mut start = vec![0; histogram.len()];
-        let mut probs = Vec::new();
+        let mut thresholds = Vec::new();
         let mut utils = [0.0; 2];
         let mut p = Vec::with_capacity(2);
         for degree in present() {
-            start[degree] = probs.len() as u32;
+            start[degree] = thresholds.len() as u32;
             for ones in 0..=degree {
                 game.utilities_from_count(degree, ones, &mut utils);
                 for current in 0..2 {
                     rule.fill_probs(beta, current, &utils, &mut p);
-                    probs.push([p[0], p[1]]);
+                    if p.iter().any(|x| x.is_nan()) {
+                        return None;
+                    }
+                    thresholds.push(draw_threshold([p[0], p[1]]));
                 }
             }
         }
-        Some(RevisionTable { start, probs })
+        Some(RevisionTable { start, thresholds })
     }
 
-    /// The update distribution of a player with count key `(degree, ones)`
-    /// currently playing `current`.
+    /// The threshold of a player with count key `(degree, ones)` currently
+    /// playing `current`.
     #[inline]
-    fn lookup(&self, degree: usize, ones: usize, current: usize) -> &[f64; 2] {
-        &self.probs[self.start[degree] as usize + 2 * ones + current]
+    fn threshold(&self, degree: usize, ones: usize, current: usize) -> f64 {
+        self.thresholds[self.start[degree] as usize + 2 * ones + current]
+    }
+
+    /// The new strategy of a player with count key `(degree, ones)`
+    /// currently playing `current`, for the uniform variate `u`.
+    #[inline]
+    fn draw(&self, degree: usize, ones: usize, current: usize, u: f64) -> u8 {
+        (u >= self.threshold(degree, ones, current)) as u8
+    }
+}
+
+/// The threshold `τ` for which `(u >= τ) as usize` equals
+/// [`sample_index_from_uniform`]`(&[p0, p1], u)` for every `u ≥ 0`, given
+/// that neither probability is NaN. The scan returns 0 exactly when
+/// `u < p0`; past `p0 + p1` (the rounding gap) it falls back to the last
+/// positive entry, or to index 1 when there is none. So:
+/// - `p1 > 0`: every `u ≥ p0` draws 1, so `τ = p0`;
+/// - only `p0 > 0`: every `u` draws 0, so `τ = +∞`;
+/// - neither positive: every `u ≥ 0` draws 1, so `τ = 0`.
+fn draw_threshold([p0, p1]: [f64; 2]) -> f64 {
+    if p1 > 0.0 {
+        p0
+    } else if p0 > 0.0 {
+        f64::INFINITY
+    } else {
+        0.0
     }
 }
 
@@ -219,32 +264,104 @@ impl LocalityLayout {
     /// # Panics
     /// Panics when a strategy does not fit in a byte or the lengths differ.
     pub fn pack_profile(&self, original: &[usize], out: &mut Vec<u8>) {
+        self.pack(original, out, None);
+    }
+
+    /// [`pack_profile`](Self::pack_profile) split into chunks on `pool`,
+    /// with the worker count and chunk size the class sweep would use
+    /// ([`RuntimeConfig::class_workers`], [`RuntimeConfig::sweep_chunk`]).
+    ///
+    /// # Panics
+    /// As [`pack_profile`](Self::pack_profile), with the same message.
+    pub fn pack_profile_pooled(
+        &self,
+        original: &[usize],
+        out: &mut Vec<u8>,
+        pool: &WorkerPool,
+        config: &RuntimeConfig,
+    ) {
+        self.pack(original, out, Some((pool, config)));
+    }
+
+    fn pack(&self, original: &[usize], out: &mut Vec<u8>, pool: PoolView<'_>) {
         assert_eq!(original.len(), self.labels.len(), "profile length mismatch");
-        out.clear();
-        out.extend(self.labels.iter().map(|&old| {
-            let s = original[old as usize];
+        fill_gathered(out, self.labels.len(), pool, &|k| {
+            let s = original[self.labels[k] as usize];
             assert!(s < 256, "strategy {s} does not fit in a byte");
             s as u8
-        }));
+        });
     }
 
     /// Unpacks a relabelled byte profile back into original labels:
-    /// `out[labels[k]] = relabelled[k]`.
+    /// `out[v] = relabelled[ordering.position_of(v)]`.
     ///
     /// # Panics
     /// Panics when the lengths differ.
     pub fn unpack_profile(&self, relabelled: &[u8], out: &mut Vec<usize>) {
+        self.unpack(relabelled, out, None);
+    }
+
+    /// [`unpack_profile`](Self::unpack_profile) split into chunks on
+    /// `pool`, chunked as [`pack_profile_pooled`](Self::pack_profile_pooled).
+    ///
+    /// # Panics
+    /// Panics when the lengths differ.
+    pub fn unpack_profile_pooled(
+        &self,
+        relabelled: &[u8],
+        out: &mut Vec<usize>,
+        pool: &WorkerPool,
+        config: &RuntimeConfig,
+    ) {
+        self.unpack(relabelled, out, Some((pool, config)));
+    }
+
+    fn unpack(&self, relabelled: &[u8], out: &mut Vec<usize>, pool: PoolView<'_>) {
         assert_eq!(
             relabelled.len(),
             self.labels.len(),
             "profile length mismatch"
         );
-        out.clear();
-        out.resize(self.labels.len(), 0);
-        for (&old, &s) in self.labels.iter().zip(relabelled.iter()) {
-            out[old as usize] = s as usize;
-        }
+        fill_gathered(out, self.labels.len(), pool, &|v| {
+            relabelled[self.ordering.position_of(v)] as usize
+        });
     }
+}
+
+/// Where [`fill_gathered`] runs: inline, or on a pool with its runtime
+/// configuration.
+type PoolView<'a> = Option<(&'a WorkerPool, &'a RuntimeConfig)>;
+
+/// Sets `out` to `[item(0), item(1), …, item(len - 1)]`, writing each slot
+/// once and in order within a chunk, with no zero-fill first. With a pool
+/// the range is split the way the class sweep splits a class of `len`
+/// players; inline it is one chunk.
+fn fill_gathered<T, F>(out: &mut Vec<T>, len: usize, pool: PoolView<'_>, item: &F)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    out.clear();
+    out.reserve(len);
+    let fill = |offset: usize, slots: &mut [MaybeUninit<T>]| {
+        for (k, slot) in (offset..).zip(slots) {
+            slot.write(item(k));
+        }
+    };
+    let slots = &mut out.spare_capacity_mut()[..len];
+    match pool {
+        Some((pool, config)) => {
+            let workers = config.class_workers(len).min(pool.workers() + 1);
+            let chunk = config.sweep_chunk(len, workers);
+            pool.for_each_chunk(slots, chunk, workers, &|index, part| {
+                fill(index * chunk, part)
+            });
+        }
+        None => fill(0, slots),
+    }
+    // SAFETY: the chunks cover `0..len` and `fill` wrote every slot of each;
+    // a panicking `item` unwinds out of this function before this line.
+    unsafe { out.set_len(len) };
 }
 
 impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
@@ -259,9 +376,9 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
 
     /// The byte sweeps' per-player kernel: `player`'s new strategy against
     /// the byte `profile` for the uniform variate `u`. With a revision
-    /// table the rule's distribution is looked up by count key; without
-    /// one it is computed from the utilities. Both give the same
-    /// probabilities bit for bit, so the draw is the same either way.
+    /// table the draw compares `u` with the count key's threshold; without
+    /// one the distribution is computed from the utilities and scanned.
+    /// Both pick the same strategy for every `u`.
     #[inline]
     fn revise_byte(
         &self,
@@ -275,7 +392,7 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
         let current = profile[player] as usize;
         if let Some(table) = table {
             let (degree, ones) = self.game().count_key_bytes(player, profile);
-            return sample_index_from_uniform(table.lookup(degree, ones, current), u) as u8;
+            return table.draw(degree, ones, current, u);
         }
         utils.clear();
         utils.resize(self.game().num_strategies(player), 0.0);
@@ -468,7 +585,7 @@ mod tests {
     use logit_games::{CongestionGame, CoordinationGame, GraphicalCoordinationGame, IsingGame};
     use logit_graphs::GraphBuilder;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn shuffled_circulant(n: usize, k: usize, seed: u64) -> Graph {
         let g = GraphBuilder::circulant(n, k);
@@ -763,14 +880,230 @@ mod tests {
         }
         let fits = two_stars(500, 520);
         let table = RevisionTable::build(&fits, &Logit, 1.0).expect("exactly at the cap");
-        assert_eq!(table.probs.len(), REVISION_TABLE_CAP);
+        assert_eq!(table.thresholds.len(), REVISION_TABLE_CAP);
         for (degree, ones, current) in [(1, 1, 0), (500, 0, 1), (520, 520, 1)] {
             let mut utils = [0.0; 2];
             fits.utilities_from_count(degree, ones, &mut utils);
             let mut probs = Vec::new();
             Logit.fill_probs(1.0, current, &utils, &mut probs);
-            assert_eq!(table.lookup(degree, ones, current)[..], probs[..]);
+            assert_eq!(
+                table.threshold(degree, ones, current).to_bits(),
+                draw_threshold([probs[0], probs[1]]).to_bits()
+            );
         }
         assert!(RevisionTable::build(&two_stars(500, 521), &Logit, 1.0).is_none());
+    }
+
+    /// Counts of what [`check_threshold_draws`] exercised.
+    #[derive(Default)]
+    struct DrawCoverage {
+        /// Keys whose `[p0, p1]` holds an exact zero.
+        zero_entries: usize,
+        /// Draws whose `u` fell at or past `p0 + p1`, where the scan falls
+        /// back to the last positive entry.
+        fallbacks: usize,
+    }
+
+    /// For every key of `engine`'s table, the threshold draw must pick the
+    /// inverse-CDF scan's index at `u` ∈ {0, p0, the floats either side of
+    /// p0, p0 + p1, 1 − 2⁻⁵³} and at seeded uniforms (each kept only when
+    /// it lies in `[0, 1)`, the range of the engine's draws).
+    fn check_threshold_draws<G: LocalGame, U: UpdateRule>(
+        engine: &DynamicsEngine<G, U>,
+        rng: &mut StdRng,
+        coverage: &mut DrawCoverage,
+    ) {
+        let game = engine.game();
+        let table = engine.revision_table().expect("a count game has a table");
+        let histogram = game.count_graph().expect("count game").degree_histogram();
+        let mut utils = [0.0; 2];
+        let mut probs = Vec::new();
+        for degree in (0..histogram.len()).filter(|&d| histogram[d] > 0) {
+            for ones in 0..=degree {
+                game.utilities_from_count(degree, ones, &mut utils);
+                for current in 0..2 {
+                    engine
+                        .rule()
+                        .fill_probs(engine.beta(), current, &utils, &mut probs);
+                    let (p0, p1) = (probs[0], probs[1]);
+                    if p0 == 0.0 || p1 == 0.0 {
+                        coverage.zero_entries += 1;
+                    }
+                    let edges = [
+                        0.0,
+                        p0,
+                        p0.next_down(),
+                        p0.next_up(),
+                        p0 + p1,
+                        1.0 - f64::EPSILON / 2.0,
+                    ];
+                    let samples: Vec<f64> = (0..8).map(|_| rng.gen()).collect();
+                    for u in edges.into_iter().chain(samples) {
+                        if !(0.0..1.0).contains(&u) {
+                            continue;
+                        }
+                        if u >= p0 + p1 {
+                            coverage.fallbacks += 1;
+                        }
+                        assert_eq!(
+                            table.draw(degree, ones, current, u) as usize,
+                            sample_index_from_uniform(&probs, u),
+                            "{} at beta {}: key ({degree}, {ones}, {current}), \
+                             probs [{p0:e}, {p1:e}], u = {u:e}",
+                            engine.rule().name(),
+                            engine.beta()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_threshold_draws_for_rule<U: UpdateRule>(rule: U, coverage: &mut DrawCoverage) {
+        let mut rng = StdRng::seed_from_u64(0x7E57);
+        for graph in [
+            GraphBuilder::grid(4, 5),
+            GraphBuilder::star(9),
+            GraphBuilder::clique(7),
+        ] {
+            for beta in [0.0, 0.1, 1.5, 40.0, 800.0] {
+                let coord = GraphicalCoordinationGame::new(
+                    graph.clone(),
+                    CoordinationGame::from_deltas(2.0, 1.0),
+                );
+                let coord = DynamicsEngine::with_rule(coord, rule.clone(), beta);
+                check_threshold_draws(&coord, &mut rng, coverage);
+                let ising = IsingGame::new(graph.clone(), 0.8, 0.3);
+                let ising = DynamicsEngine::with_rule(ising, rule.clone(), beta);
+                check_threshold_draws(&ising, &mut rng, coverage);
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_draw_matches_the_inverse_cdf_scan() {
+        let mut coverage = DrawCoverage::default();
+        check_threshold_draws_for_rule(Logit, &mut coverage);
+        check_threshold_draws_for_rule(Fermi, &mut coverage);
+        let mut zeros = DrawCoverage::default();
+        check_threshold_draws_for_rule(MetropolisLogit, &mut zeros);
+        check_threshold_draws_for_rule(NoisyBestResponse::new(0.15), &mut zeros);
+        check_threshold_draws_for_rule(ImitateBetter::new(0.1), &mut zeros);
+        assert!(zeros.zero_entries > 0, "no exact-zero entry was exercised");
+        assert!(
+            coverage.fallbacks + zeros.fallbacks > 0,
+            "no draw landed in the rounding gap"
+        );
+    }
+
+    /// A layout over `n` players: a label-shuffled circulant, or a lone
+    /// vertex when `n = 1`.
+    fn layout_of(n: usize) -> LocalityLayout {
+        let graph = if n == 1 {
+            Graph::from_edges(1, &[])
+        } else {
+            shuffled_circulant(n, 2, n as u64)
+        };
+        LocalityLayout::from_graph(&graph, &coloring_for_graph(&graph))
+    }
+
+    #[test]
+    fn pooled_pack_and_unpack_match_the_serial_ones() {
+        for n in [1, 7, 100_000] {
+            let layout = layout_of(n);
+            let start: Vec<usize> = (0..n).map(|v| (v * 37 + 11) % 256).collect();
+            let mut packed = Vec::new();
+            layout.pack_profile(&start, &mut packed);
+            let mut unpacked = Vec::new();
+            layout.unpack_profile(&packed, &mut unpacked);
+            assert_eq!(unpacked, start, "serial round trip, n = {n}");
+            for workers in 1..=4 {
+                for block_players in [0, 1, 3, 4096] {
+                    let config = RuntimeConfig {
+                        workers,
+                        min_class_size: 1,
+                        block_players,
+                        ..RuntimeConfig::default()
+                    };
+                    let pool = WorkerPool::new(&config);
+                    // Stale contents must be replaced, not appended to.
+                    let mut pooled_packed = vec![9; 5];
+                    layout.pack_profile_pooled(&start, &mut pooled_packed, &pool, &config);
+                    let mut pooled_unpacked = vec![9; 5];
+                    layout.unpack_profile_pooled(&packed, &mut pooled_unpacked, &pool, &config);
+                    let context = format!("n = {n}, {workers} workers, block {block_players}");
+                    assert_eq!(pooled_packed, packed, "pack, {context}");
+                    assert_eq!(pooled_unpacked, start, "unpack, {context}");
+                    if workers > 1 && n > 1 {
+                        assert_eq!(pool.dispatches(), 2, "both ran on the pool, {context}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_pack_panics_like_the_serial_pack_on_a_wide_strategy() {
+        let n = 10_000;
+        let layout = layout_of(n);
+        let mut start = vec![1; n];
+        start[n / 2] = 256;
+        let message = |pack: &dyn Fn()| -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(pack))
+                .expect_err("the pack must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted panic message")
+        };
+        let config = RuntimeConfig {
+            workers: 2,
+            min_class_size: 1,
+            block_players: 64,
+            ..RuntimeConfig::default()
+        };
+        let pool = WorkerPool::new(&config);
+        let serial = message(&|| layout.pack_profile(&start, &mut Vec::new()));
+        let pooled =
+            message(&|| layout.pack_profile_pooled(&start, &mut Vec::new(), &pool, &config));
+        assert_eq!(pool.dispatches(), 1, "the pack ran on the pool");
+        assert_eq!(serial, "strategy 256 does not fit in a byte");
+        assert_eq!(pooled, serial);
+    }
+
+    #[test]
+    fn run_coloured_locality_replays_the_unrelabelled_sweep() {
+        let n = 5_000;
+        let graph = shuffled_circulant(n, 3, 17);
+        let coloring = coloring_for_graph(&graph);
+        let layout = LocalityLayout::from_graph(&graph, &coloring);
+        let base = CoordinationGame::from_deltas(2.0, 1.0);
+        let reference =
+            LogitDynamics::new(GraphicalCoordinationGame::new(graph.clone(), base), 0.1);
+        let relabelled = LogitDynamics::new(
+            GraphicalCoordinationGame::new(layout.relabel_graph(&graph), base),
+            0.1,
+        );
+        let start: Vec<usize> = (0..n).map(|v| (v * 7 / 3) % 2).collect();
+        let seed = 0x5EED_10CA;
+        let ticks = 2 * coloring.num_classes() as u64 + 1;
+
+        let mut want = start.clone();
+        let mut scratch = Scratch::for_game(reference.game());
+        let want_moved: usize = (0..ticks)
+            .map(|t| reference.step_coloured(&coloring, t, seed, &mut want, &mut scratch))
+            .sum();
+        for workers in [1, 3] {
+            let config = RuntimeConfig {
+                workers,
+                min_class_size: 1,
+                block_players: 100,
+                ..RuntimeConfig::default()
+            };
+            let sim = crate::simulate::Simulator::with_runtime(seed, 1, config);
+            let (got, moved) = sim.run_coloured_locality(&relabelled, &layout, &start, ticks);
+            assert_eq!(moved, want_moved, "moved count, {workers} workers");
+            assert!(got == want, "final profile, {workers} workers");
+        }
     }
 }

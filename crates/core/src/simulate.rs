@@ -450,7 +450,8 @@ impl Simulator {
     /// built on the **relabelled** game of `layout` — from the
     /// original-label profile `start`, through the simulator's persistent
     /// pool and runtime configuration (cache-blocked byte sweeps, draws
-    /// keyed by original player ids). Returns the final profile in
+    /// keyed by original player ids); the pack into bytes and the unpack
+    /// back run on the same pool. Returns the final profile in
     /// original labels together with the total moved count; bit-identical
     /// to stepping the unrelabelled engine with
     /// [`DynamicsEngine::step_coloured`] from the same seed.
@@ -465,8 +466,9 @@ impl Simulator {
         G: logit_games::LocalGame + Sync,
         U: UpdateRule,
     {
+        let pool = self.pool();
         let mut bytes = Vec::new();
-        layout.pack_profile(start, &mut bytes);
+        layout.pack_profile_pooled(start, &mut bytes, pool, &self.runtime);
         let mut scratch = Scratch::for_game(engine.game());
         let mut moved = 0;
         for t in 0..ticks {
@@ -477,12 +479,12 @@ impl Simulator {
                 Some(layout.labels()),
                 &mut bytes,
                 &mut scratch,
-                self.pool(),
+                pool,
                 &self.runtime,
             );
         }
         let mut out = Vec::new();
-        layout.unpack_profile(&bytes, &mut out);
+        layout.unpack_profile_pooled(&bytes, &mut out, pool, &self.runtime);
         (out, moved)
     }
 

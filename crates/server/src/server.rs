@@ -97,8 +97,9 @@ struct ServerTelemetry {
     /// `server.queue_depth` — jobs admitted but not yet picked up by the
     /// executor.
     queue_depth: logit_telemetry::Gauge,
-    /// `server.job_wall_ns` — ACCEPTED frame to terminal frame: queue
-    /// wait + execution + streaming, as the client experiences it.
+    /// `server.job_wall_ns` — admission (just before the job is enqueued)
+    /// to terminal frame: queue wait + execution + streaming, as the
+    /// client experiences it. Accepted jobs only.
     job_wall_ns: logit_telemetry::Histogram,
     /// `server.job_exec_ns` — the executor's `run_prepared` alone.
     job_exec_ns: logit_telemetry::Histogram,
@@ -396,10 +397,16 @@ fn handle_connection(
         cancel: cancel.clone(),
         outcome_tx,
     };
+    // Wall clock as the client experiences it: from admission to the
+    // terminal frame (queue wait + execution + stream). It starts before
+    // the job is enqueued, because an idle executor may start the job at
+    // once; a rejected job records no wall time.
+    let wall_span = telemetry().job_wall_ns.span();
     // Reserve the queue slot *before* ACCEPTED goes out.
     match queue_tx.try_send(request) {
         Ok(()) => telemetry().queue_depth.add(1.0),
         Err(TrySendError::Full(req)) => {
+            wall_span.discard();
             count_rejected(stats, AdmissionError::QueueFull.code());
             write_frame(
                 &mut stream,
@@ -411,6 +418,7 @@ fn handle_connection(
             return stream.shutdown(Shutdown::Both);
         }
         Err(TrySendError::Disconnected(_)) => {
+            wall_span.discard();
             let err = AdmissionError::Protocol("the server is shutting down".into());
             count_rejected(stats, err.code());
             write_frame(&mut stream, REJECTED, &err.to_string())?;
@@ -419,9 +427,6 @@ fn handle_connection(
     }
 
     stats.accepted.fetch_add(1, Ordering::Relaxed);
-    // Wall clock as the client experiences it: from the moment the job is
-    // accepted to its terminal frame (queue wait + execution + stream).
-    let wall_span = telemetry().job_wall_ns.span();
     write_frame(&mut stream, ACCEPTED, &accepted_meta)?;
 
     // Watcher: turns a CANCEL frame — or the client vanishing — into a

@@ -13,7 +13,20 @@ use logit_server::{
     prepare, request_stats, run_direct, submit_job, submit_raw, ArtifactCache, ClientOutcome,
     JobSpec, RunningServer, ServerConfig,
 };
+use std::sync::{RwLock, RwLockReadGuard};
 use std::thread;
+
+/// The server's latency histograms are process-global. Every test that
+/// runs a server holds this lock shared; a test that reads those
+/// histograms holds it exclusively, so no other test's job can be
+/// half-recorded when it reads them.
+static HISTOGRAMS: RwLock<()> = RwLock::new(());
+
+fn shared_histograms() -> RwLockReadGuard<'static, ()> {
+    HISTOGRAMS
+        .read()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn base_job(seed: u64) -> String {
     format!(
@@ -32,6 +45,7 @@ fn offline(text: &str) -> logit_server::StreamedResult {
 
 #[test]
 fn a_loaded_server_streams_bit_identical_series() {
+    let _histograms = shared_histograms();
     let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
     let addr = server.addr();
 
@@ -150,6 +164,7 @@ fn a_loaded_server_streams_bit_identical_series() {
 
 #[test]
 fn admission_rejects_each_malformed_layer_with_its_typed_code() {
+    let _histograms = shared_histograms();
     let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
     let addr = server.addr();
 
@@ -197,6 +212,7 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
 
 #[test]
 fn rejected_and_cancelled_jobs_leave_the_pool_able_to_reproduce() {
+    let _histograms = shared_histograms();
     // Tight interleaving: reject, cancel, complete, repeatedly on one
     // server — then the final completed job must still match offline.
     let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
@@ -233,6 +249,7 @@ fn rejected_and_cancelled_jobs_leave_the_pool_able_to_reproduce() {
 
 #[test]
 fn tempered_jobs_stream_and_replay_bit_identically() {
+    let _histograms = shared_histograms();
     let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
     let addr = server.addr();
     let text = "game=ising\ntopology=ring\nn=10\ncoupling=1.0\n\
@@ -253,6 +270,7 @@ fn tempered_jobs_stream_and_replay_bit_identically() {
 
 #[test]
 fn the_artifact_cache_is_shared_and_lru_bounded() {
+    let _histograms = shared_histograms();
     let server = RunningServer::start(
         0,
         ServerConfig {
@@ -286,6 +304,7 @@ fn the_artifact_cache_is_shared_and_lru_bounded() {
 
 #[test]
 fn sequential_connections_leave_a_bounded_number_of_handler_threads() {
+    let _histograms = shared_histograms();
     // Every connection gets a handler thread; the listener must reap them
     // as they finish instead of holding one handle per connection served.
     let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
@@ -302,4 +321,45 @@ fn sequential_connections_leave_a_bounded_number_of_handler_threads() {
         "{retained} handler threads retained after {connections} sequential connections"
     );
     server.shutdown();
+}
+
+#[cfg(feature = "telemetry")]
+#[test]
+fn job_wall_time_covers_execution_and_streaming() {
+    let _exclusive = HISTOGRAMS
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    assert!(logit_telemetry::enable());
+    // (count, sum in ns) of wall, exec and stream.
+    let read = || {
+        [
+            "server.job_wall_ns",
+            "server.job_exec_ns",
+            "server.job_stream_ns",
+        ]
+        .map(|name| {
+            let snapshot = logit_telemetry::global().histogram(name).snapshot();
+            (snapshot.count, snapshot.sum)
+        })
+    };
+    let before = read();
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let jobs = 60;
+    for seed in 0..jobs {
+        let (outcome, _) = submit_job(server.addr(), &base_job(seed), None).expect("client io");
+        assert!(matches!(outcome, ClientOutcome::Done(_)), "job {seed}");
+    }
+    // Shutdown joins every handler, so each job's wall span has ended.
+    server.shutdown();
+    let after = read();
+    let [wall, exec, stream] =
+        [0, 1, 2].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1));
+    assert_eq!((wall.0, exec.0, stream.0), (jobs, jobs, jobs));
+    assert!(
+        wall.1 >= exec.1 + stream.1,
+        "wall {} ns < exec {} ns + stream {} ns over {jobs} jobs",
+        wall.1,
+        exec.1,
+        stream.1
+    );
 }

@@ -201,6 +201,14 @@ pub struct Span {
     histogram: Option<Histogram>,
 }
 
+impl Span {
+    /// Ends the span without recording: for a stage whose clock had to
+    /// start before it was known whether the stage counts.
+    pub fn discard(mut self) {
+        self.histogram = None;
+    }
+}
+
 impl Drop for Span {
     fn drop(&mut self) {
         if let (Some(started), Some(histogram)) = (self.started, self.histogram.take()) {
@@ -582,6 +590,12 @@ mod tests {
             snapshot.sum >= 2e6,
             "2 ms must record at least 2e6 ns, got {}",
             snapshot.sum
+        );
+        histogram.span().discard();
+        assert_eq!(
+            histogram.snapshot().count,
+            1,
+            "a discarded span records nothing"
         );
     }
 
