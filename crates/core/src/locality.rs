@@ -9,9 +9,16 @@
 //!
 //! 1. **Relabelling** ([`LocalityLayout`]): players are renamed along a
 //!    reverse Cuthill–McKee ordering of the interaction graph
-//!    ([`logit_graphs::rcm_ordering`]), shrinking the graph bandwidth so a
-//!    revision's gathers land within a few cache lines of the player's own
-//!    strategy slot instead of anywhere in an `O(n)` array.
+//!    ([`logit_graphs::rcm_ordering`]), cut into **colour blocks**: the
+//!    positions run class by class in colour order, and within a class in
+//!    RCM order. A tick's class is then one contiguous run, so the sweep
+//!    streams its labels, CSR offsets and targets and its commit writes
+//!    sequentially, instead of touching every ≈`num_classes`-th slot of
+//!    each. RCM keeps a player's neighbours close to her in RCM rank, and
+//!    every class block is in RCM order, so a sweep's gathers advance
+//!    through each other class's block in step with the sweep cursor: one
+//!    short sequential window per class instead of anywhere in an `O(n)`
+//!    array.
 //! 2. **Byte profiles**: strategies are stored one byte per player
 //!    (games with at most 256 strategies — every concrete large-`n` game
 //!    here is binary), so the whole strategy vector of a `10⁶`-player game
@@ -34,7 +41,10 @@
 //! last-index fallback) when both are zero. A rule that yields a NaN gets
 //! no table. The table is built once per engine, and only when it fits
 //! [`REVISION_TABLE_CAP`]; other games and larger tables keep the direct
-//! path.
+//! path. The table decision is taken once per chunk, so the table loop
+//! holds no call: the game's CSR gather is inlined, and the two splitmix
+//! rounds that depend only on `(seed, t)` are computed once per chunk,
+//! leaving one round per player.
 //!
 //! Around the ticks, [`Simulator::run_coloured_locality`] packs the start
 //! profile into bytes and unpacks the result on the same pool and with the
@@ -47,7 +57,8 @@
 //!
 //! The layer is a *pure view*: draws stay keyed by the **original** player
 //! ids (the layout carries `labels[new] = old` into the engine), colour
-//! classes are transported verbatim through the permutation, and the
+//! classes are transported verbatim through the permutation (the blocks
+//! are those classes, keyed by colour value), and the
 //! utility kernels are bitwise-stable under both the byte representation
 //! and the relabelling — so trajectories mapped back through the inverse
 //! permutation are bit-identical to the unrelabelled engine's. The
@@ -55,7 +66,7 @@
 //! rules, topologies, worker counts and block sizes.
 
 use crate::dynamics::{sample_index_from_uniform, DynamicsEngine, Scratch};
-use crate::parallel::{coloring_for_graph, player_tick_uniform, STAGE_BUFFERS};
+use crate::parallel::{coloring_for_graph, stream_uniform, tick_stream, STAGE_BUFFERS};
 use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
 use logit_games::{interaction_graph, LocalGame};
@@ -63,11 +74,14 @@ use logit_graphs::{bandwidth_of_ordering, rcm_ordering, Coloring, Graph, VertexO
 use std::mem::MaybeUninit;
 
 /// How many players ahead of the revision the byte sweeps issue
-/// [`LocalGame::prefetch_frozen_bytes`]. A colour-class sweep strides the
-/// CSR target array by `num_classes` rows, which defeats the hardware
-/// stride prefetcher once the array spills L2; eight players of lookahead
-/// (a few hundred bytes of rows in flight) is enough to hide an L3 hit at
-/// the per-update cost of the cheapest rule while staying far inside the
+/// [`LocalGame::prefetch_frozen_bytes`]. On a [`LocalityLayout`] a class is
+/// contiguous and its CSR rows are read in order, which the hardware
+/// prefetcher follows by itself. The hint matters for colourings that are
+/// not blocked (an engine run on its own labelling): there a class sweep
+/// strides the CSR target array by about `num_classes` rows, which defeats
+/// the stride prefetcher once the array spills L2, and eight players of
+/// lookahead (a few hundred bytes of rows in flight) hide an L3 hit at the
+/// per-update cost of the cheapest rule while staying far inside the
 /// line-fill-buffer budget. Purely a hint: draws and utilities are
 /// untouched, so bit-identity is unaffected.
 const PREFETCH_AHEAD: usize = 8;
@@ -162,13 +176,16 @@ fn draw_threshold([p0, p1]: [f64; 2]) -> f64 {
     }
 }
 
-/// A bandwidth-minimising relabelling of a game's players, with everything
-/// the engine needs to run on the relabelled instance and map results back.
+/// A locality-first relabelling of a game's players, with everything the
+/// engine needs to run on the relabelled instance and map results back.
 ///
-/// Built once per (graph, colouring) pair; the ordering is reverse
-/// Cuthill–McKee, the colouring is the original one transported through the
-/// permutation (colour *values* are preserved, so the class-of-tick cycle —
-/// and therefore the revision schedule — replays tick-for-tick).
+/// Built once per (graph, colouring) pair. The ordering is
+/// **colour-blocked**: positions run class by class in colour order, and
+/// within each class in reverse Cuthill–McKee order. The colouring is the
+/// original one transported through the permutation (colour *values* are
+/// preserved, so the class-of-tick cycle — and therefore the revision
+/// schedule — replays tick-for-tick), which makes every class one
+/// contiguous run of positions.
 #[derive(Clone, Debug)]
 pub struct LocalityLayout {
     /// new position `k` holds original player `ordering.vertex_at(k)`.
@@ -180,13 +197,14 @@ pub struct LocalityLayout {
     coloring: Coloring,
     /// Graph bandwidth under the identity (original) labelling.
     bandwidth_before: usize,
-    /// Graph bandwidth under the RCM labelling.
+    /// Graph bandwidth under the RCM order the blocks are cut from.
     bandwidth_after: usize,
 }
 
 impl LocalityLayout {
-    /// Computes the RCM layout of `graph` and transports `coloring` through
-    /// it. `coloring` must be a colouring of `graph` (same vertex count).
+    /// Computes the colour-blocked RCM layout of `graph` and transports
+    /// `coloring` through it. `coloring` must be a colouring of `graph`
+    /// (same vertex count).
     ///
     /// # Panics
     /// Panics when the colouring covers a different vertex count, or when
@@ -200,10 +218,12 @@ impl LocalityLayout {
             "colouring covers a different vertex count"
         );
         assert!(n <= u32::MAX as usize, "player ids must fit in u32");
-        let identity = VertexOrdering::identity(n);
-        let bandwidth_before = bandwidth_of_ordering(graph, &identity);
-        let ordering = rcm_ordering(graph);
-        let bandwidth_after = bandwidth_of_ordering(graph, &ordering);
+        let bandwidth_before = bandwidth_of_ordering(graph, &VertexOrdering::identity(n));
+        let rcm = rcm_ordering(graph);
+        let bandwidth_after = bandwidth_of_ordering(graph, &rcm);
+        let blocked = colour_blocked(&rcm, coloring);
+        drop(rcm);
+        let ordering = VertexOrdering::new(blocked).expect("bucketing permutes the RCM order");
         let labels = ordering.as_slice().iter().map(|&v| v as u32).collect();
         let coloring = coloring.relabelled(&ordering);
         LocalityLayout {
@@ -225,7 +245,7 @@ impl LocalityLayout {
         (Self::from_graph(&graph, &coloring), graph)
     }
 
-    /// The RCM ordering: new position `k` holds original player
+    /// The colour-blocked ordering: new position `k` holds original player
     /// `ordering.vertex_at(k)`.
     pub fn ordering(&self) -> &VertexOrdering {
         &self.ordering
@@ -247,7 +267,12 @@ impl LocalityLayout {
         self.bandwidth_before
     }
 
-    /// Graph bandwidth under the RCM labelling.
+    /// Graph bandwidth under the reverse Cuthill–McKee order the layout's
+    /// colour blocks are cut from — not under the blocked ordering itself,
+    /// where neighbours sit in other classes' blocks. Within each class it
+    /// bounds how far apart in RCM rank a player and her neighbours are, so
+    /// a class sweep's gathers advance through every other block in step
+    /// with the sweep.
     pub fn bandwidth_after(&self) -> usize {
         self.bandwidth_after
     }
@@ -328,6 +353,26 @@ impl LocalityLayout {
     }
 }
 
+/// The vertices of `rcm` regrouped class by class in colour order, each
+/// class keeping its RCM order: one counting pass, no sort.
+fn colour_blocked(rcm: &VertexOrdering, coloring: &Coloring) -> Vec<usize> {
+    let mut cursor: Vec<usize> = coloring
+        .classes()
+        .scan(0, |start, class| {
+            let first = *start;
+            *start += class.len();
+            Some(first)
+        })
+        .collect();
+    let mut blocked = vec![0; rcm.len()];
+    for &v in rcm.as_slice() {
+        let slot = &mut cursor[coloring.color_of(v)];
+        blocked[*slot] = v;
+        *slot += 1;
+    }
+    blocked
+}
+
 /// Where [`fill_gathered`] runs: inline, or on a pool with its runtime
 /// configuration.
 type PoolView<'a> = Option<(&'a WorkerPool, &'a RuntimeConfig)>;
@@ -374,31 +419,25 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
             .as_ref()
     }
 
-    /// The byte sweeps' per-player kernel: `player`'s new strategy against
-    /// the byte `profile` for the uniform variate `u`. With a revision
-    /// table the draw compares `u` with the count key's threshold; without
-    /// one the distribution is computed from the utilities and scanned.
-    /// Both pick the same strategy for every `u`.
+    /// The byte sweeps' direct per-player kernel, for engines without a
+    /// revision table: `player`'s new strategy against the byte `profile`
+    /// for the uniform variate `u`, from the utilities and an inverse-CDF
+    /// scan of the rule's distribution.
     #[inline]
     fn revise_byte(
         &self,
-        table: Option<&RevisionTable>,
         player: usize,
         profile: &[u8],
         u: f64,
         utils: &mut Vec<f64>,
         probs: &mut Vec<f64>,
     ) -> u8 {
-        let current = profile[player] as usize;
-        if let Some(table) = table {
-            let (degree, ones) = self.game().count_key_bytes(player, profile);
-            return table.draw(degree, ones, current, u);
-        }
         utils.clear();
         utils.resize(self.game().num_strategies(player), 0.0);
         self.game()
             .utilities_for_frozen_bytes(player, profile, utils);
-        self.rule().fill_probs(self.beta(), current, utils, probs);
+        self.rule()
+            .fill_probs(self.beta(), profile[player] as usize, utils, probs);
         sample_index_from_uniform(probs, u) as u8
     }
 
@@ -427,6 +466,30 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
         profile: &mut [u8],
         scratch: &mut Scratch,
     ) -> usize {
+        let players = self.byte_sweep_class(coloring, t, profile);
+        let mut staged = take_staged(scratch, players.len());
+        let (utils, probs) = scratch.rule_buffers();
+        // A colour class is an independent set, so no revising player can
+        // observe a same-tick update: staging against the pre-tick profile
+        // and committing afterwards is the same as revising in place.
+        self.stage_class_bytes_with(
+            self.revision_table(),
+            players,
+            t,
+            seed,
+            labels,
+            profile,
+            &mut staged,
+            utils,
+            probs,
+        );
+        let moved = commit_staged(players, &staged, profile);
+        scratch.staged_bytes = staged;
+        moved
+    }
+
+    /// The class revising at tick `t`, after the byte sweeps' shared checks.
+    fn byte_sweep_class<'c>(&self, coloring: &'c Coloring, t: u64, profile: &[u8]) -> &'c [usize] {
         let n = self.game().num_players();
         assert!(
             self.game().max_strategies() <= 256,
@@ -438,34 +501,82 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
             "colouring covers a different player count"
         );
         debug_assert_eq!(profile.len(), n);
-        let table = self.revision_table();
-        let class = coloring.class_of_tick(t);
-        let mut moved = 0;
-        let (utils, probs) = scratch.rule_buffers();
-        let members = coloring.class(class);
-        for (i, &player) in members.iter().enumerate() {
-            if let Some(&ahead) = members.get(i + PREFETCH_AHEAD) {
+        coloring.class(coloring.class_of_tick(t))
+    }
+
+    /// Samples the new strategies of `players` against the frozen byte
+    /// `profile` into `staged` — the per-chunk kernel of both byte sweeps.
+    /// Draw keys come from `labels` when present (original player ids),
+    /// else the positions themselves; `table` is the engine's revision
+    /// table, if it has one. The table decision is made once per chunk, so
+    /// each path is its own loop: the table loop is a CSR gather, one
+    /// splitmix round and a threshold compare per player.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_class_bytes_with(
+        &self,
+        table: Option<&RevisionTable>,
+        players: &[usize],
+        t: u64,
+        seed: u64,
+        labels: Option<&[u32]>,
+        profile: &[u8],
+        staged: &mut [u8],
+        utils: &mut Vec<f64>,
+        probs: &mut Vec<f64>,
+    ) {
+        match table {
+            Some(table) => self.stage_draws(players, t, seed, labels, staged, |player, u| {
+                let (degree, ones) = self.game().count_key_bytes(player, profile);
+                table.draw(degree, ones, profile[player] as usize, u)
+            }),
+            None => self.stage_draws(players, t, seed, labels, staged, |player, u| {
+                self.revise_byte(player, profile, u, utils, probs)
+            }),
+        }
+    }
+
+    /// The loop under [`Self::stage_class_bytes_with`]: for every player of
+    /// the chunk, prefetch ahead, derive the player's uniform from the
+    /// tick's hoisted stream and store `revise(player, u)`.
+    #[inline(always)]
+    fn stage_draws(
+        &self,
+        players: &[usize],
+        t: u64,
+        seed: u64,
+        labels: Option<&[u32]>,
+        staged: &mut [u8],
+        mut revise: impl FnMut(usize, f64) -> u8,
+    ) {
+        let stream = tick_stream(seed, t);
+        for (i, (&player, slot)) in players.iter().zip(staged.iter_mut()).enumerate() {
+            if let Some(&ahead) = players.get(i + PREFETCH_AHEAD) {
                 self.game().prefetch_frozen_bytes(ahead);
             }
             let key = labels.map_or(player, |l| l[player] as usize);
-            // A colour class is an independent set, so no revising player
-            // can observe a same-tick update: reading the live profile here
-            // is the same as reading the frozen pre-tick one.
-            let strategy = self.revise_byte(
-                table,
-                player,
-                profile,
-                player_tick_uniform(seed, key, t),
-                utils,
-                probs,
-            );
-            if profile[player] != strategy {
-                moved += 1;
-            }
-            profile[player] = strategy;
+            *slot = revise(player, stream_uniform(stream, key));
         }
-        moved
     }
+}
+
+/// `scratch`'s staging buffer, taken out and sized for a class of `len`
+/// players; put it back after the commit.
+fn take_staged(scratch: &mut Scratch, len: usize) -> Vec<u8> {
+    let mut staged = std::mem::take(&mut scratch.staged_bytes);
+    staged.clear();
+    staged.resize(len, 0);
+    staged
+}
+
+/// Writes a staged class into `profile` and returns how many players
+/// moved: the one commit loop of both byte sweeps.
+fn commit_staged(players: &[usize], staged: &[u8], profile: &mut [u8]) -> usize {
+    let mut moved = 0;
+    for (&player, &strategy) in players.iter().zip(staged) {
+        moved += (profile[player] != strategy) as usize;
+        profile[player] = strategy;
+    }
+    moved
 }
 
 impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
@@ -494,26 +605,13 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
         pool: &WorkerPool,
         config: &RuntimeConfig,
     ) -> usize {
-        let n = self.game().num_players();
-        assert!(
-            self.game().max_strategies() <= 256,
-            "byte profiles require at most 256 strategies per player"
-        );
-        assert_eq!(
-            coloring.num_vertices(),
-            n,
-            "colouring covers a different player count"
-        );
-        debug_assert_eq!(profile.len(), n);
-        let players = coloring.class(coloring.class_of_tick(t));
+        let players = self.byte_sweep_class(coloring, t, profile);
         let workers = config.class_workers(players.len()).min(pool.workers() + 1);
         if workers <= 1 {
             return self.step_coloured_bytes(coloring, t, seed, labels, profile, scratch);
         }
 
-        let mut staged = std::mem::take(&mut scratch.staged_bytes);
-        staged.clear();
-        staged.resize(players.len(), 0);
+        let mut staged = take_staged(scratch, players.len());
         let chunk = config.sweep_chunk(players.len(), workers);
         let frozen: &[u8] = profile;
         // Resolved before dispatch, so no worker waits on the first build.
@@ -537,43 +635,9 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
             });
         });
 
-        let mut moved = 0;
-        for (&player, &strategy) in players.iter().zip(staged.iter()) {
-            if profile[player] != strategy {
-                moved += 1;
-            }
-            profile[player] = strategy;
-        }
+        let moved = commit_staged(players, &staged, profile);
         scratch.staged_bytes = staged;
         moved
-    }
-
-    /// Samples the new strategies of `players` against the frozen byte
-    /// `profile` into `staged` — the per-worker kernel of
-    /// [`Self::step_coloured_pooled_bytes`]. Draw keys come from `labels`
-    /// when present (original player ids), else the positions themselves;
-    /// `table` is the engine's revision table, if it has one.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_class_bytes_with(
-        &self,
-        table: Option<&RevisionTable>,
-        players: &[usize],
-        t: u64,
-        seed: u64,
-        labels: Option<&[u32]>,
-        profile: &[u8],
-        staged: &mut [u8],
-        utils: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-    ) {
-        for (i, (&player, slot)) in players.iter().zip(staged.iter_mut()).enumerate() {
-            if let Some(&ahead) = players.get(i + PREFETCH_AHEAD) {
-                self.game().prefetch_frozen_bytes(ahead);
-            }
-            let key = labels.map_or(player, |l| l[player] as usize);
-            let u = player_tick_uniform(seed, key, t);
-            *slot = self.revise_byte(table, player, profile, u, utils, probs);
-        }
     }
 }
 
@@ -606,6 +670,56 @@ mod tests {
             layout.bandwidth_after()
         );
         assert!(layout.bandwidth_after() <= layout.bandwidth_before());
+    }
+
+    #[test]
+    fn layout_blocks_each_colour_class_in_rcm_order() {
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        for (context, graph) in [
+            ("shuffled circulant", shuffled_circulant(90, 3, 5)),
+            ("grid", GraphBuilder::grid(7, 9)),
+            ("star", GraphBuilder::star(12)),
+            ("Erdős–Rényi", GraphBuilder::erdos_renyi(80, 0.06, &mut rng)),
+        ] {
+            let n = graph.num_vertices();
+            let coloring = coloring_for_graph(&graph);
+            let layout = LocalityLayout::from_graph(&graph, &coloring);
+            let rcm = rcm_ordering(&graph);
+
+            // The classes, in colour order, tile 0..n as contiguous runs.
+            let blocked = layout.coloring();
+            assert_eq!(blocked.num_classes(), coloring.num_classes(), "{context}");
+            let tiled: Vec<usize> = blocked.classes().flatten().copied().collect();
+            assert_eq!(tiled, (0..n).collect::<Vec<_>>(), "{context}");
+
+            for c in 0..blocked.num_classes() {
+                let originals: Vec<usize> = blocked
+                    .class(c)
+                    .iter()
+                    .map(|&k| layout.ordering().vertex_at(k))
+                    .collect();
+                // Colour values are transported verbatim ...
+                assert!(
+                    originals.iter().all(|&v| coloring.color_of(v) == c),
+                    "class {c} holds another colour, {context}"
+                );
+                // ... and within a class, positions follow RCM rank.
+                assert!(
+                    originals
+                        .windows(2)
+                        .all(|w| rcm.position_of(w[0]) < rcm.position_of(w[1])),
+                    "class {c} leaves RCM order, {context}"
+                );
+            }
+            assert_eq!(
+                layout.bandwidth_after(),
+                bandwidth_of_ordering(&graph, &rcm),
+                "{context}"
+            );
+            let mut labels: Vec<usize> = layout.labels().iter().map(|&l| l as usize).collect();
+            labels.sort_unstable();
+            assert_eq!(labels, (0..n).collect::<Vec<_>>(), "{context}");
+        }
     }
 
     #[test]
@@ -1071,28 +1185,25 @@ mod tests {
         assert_eq!(pooled, serial);
     }
 
-    #[test]
-    fn run_coloured_locality_replays_the_unrelabelled_sweep() {
-        let n = 5_000;
-        let graph = shuffled_circulant(n, 3, 17);
-        let coloring = coloring_for_graph(&graph);
-        let layout = LocalityLayout::from_graph(&graph, &coloring);
-        let base = CoordinationGame::from_deltas(2.0, 1.0);
-        let reference =
-            LogitDynamics::new(GraphicalCoordinationGame::new(graph.clone(), base), 0.1);
-        let relabelled = LogitDynamics::new(
-            GraphicalCoordinationGame::new(layout.relabel_graph(&graph), base),
-            0.1,
-        );
-        let start: Vec<usize> = (0..n).map(|v| (v * 7 / 3) % 2).collect();
-        let seed = 0x5EED_10CA;
+    /// Runs `ticks` coloured ticks of the unrelabelled `reference` engine
+    /// with `step_coloured`, and the whole run of the relabelled engine
+    /// through `run_coloured_locality` at 1 and 3 workers; both must agree
+    /// on the final profile and the moved count.
+    fn check_locality_run<G: LocalGame + Sync, U: UpdateRule>(
+        reference: &DynamicsEngine<G, U>,
+        relabelled: &DynamicsEngine<G, U>,
+        coloring: &Coloring,
+        layout: &LocalityLayout,
+        start: &[usize],
+        seed: u64,
+    ) {
         let ticks = 2 * coloring.num_classes() as u64 + 1;
-
-        let mut want = start.clone();
+        let mut want = start.to_vec();
         let mut scratch = Scratch::for_game(reference.game());
         let want_moved: usize = (0..ticks)
-            .map(|t| reference.step_coloured(&coloring, t, seed, &mut want, &mut scratch))
+            .map(|t| reference.step_coloured(coloring, t, seed, &mut want, &mut scratch))
             .sum();
+        assert!(want_moved > 0, "{}: nothing moved", reference.rule().name());
         for workers in [1, 3] {
             let config = RuntimeConfig {
                 workers,
@@ -1101,9 +1212,77 @@ mod tests {
                 ..RuntimeConfig::default()
             };
             let sim = crate::simulate::Simulator::with_runtime(seed, 1, config);
-            let (got, moved) = sim.run_coloured_locality(&relabelled, &layout, &start, ticks);
-            assert_eq!(moved, want_moved, "moved count, {workers} workers");
-            assert!(got == want, "final profile, {workers} workers");
+            let (got, moved) = sim.run_coloured_locality(relabelled, layout, start, ticks);
+            let context = format!("{}, {workers} workers", reference.rule().name());
+            assert_eq!(moved, want_moved, "moved count, {context}");
+            assert!(got == want, "final profile, {context}");
         }
+    }
+
+    #[test]
+    fn run_coloured_locality_replays_the_unrelabelled_sweep() {
+        // The two count-kernel games run the table loop.
+        let n = 5_000;
+        let graph = shuffled_circulant(n, 3, 17);
+        let coloring = coloring_for_graph(&graph);
+        let layout = LocalityLayout::from_graph(&graph, &coloring);
+        let relabelled_graph = layout.relabel_graph(&graph);
+        let start: Vec<usize> = (0..n).map(|v| (v * 7 / 3) % 2).collect();
+        let base = CoordinationGame::from_deltas(2.0, 1.0);
+        check_locality_run(
+            &LogitDynamics::new(GraphicalCoordinationGame::new(graph.clone(), base), 0.1),
+            &LogitDynamics::new(
+                GraphicalCoordinationGame::new(relabelled_graph.clone(), base),
+                0.1,
+            ),
+            &coloring,
+            &layout,
+            &start,
+            0x5EED_10CA,
+        );
+        check_locality_run(
+            &DynamicsEngine::with_rule(IsingGame::new(graph, 0.6, 0.1), MetropolisLogit, 0.4),
+            &DynamicsEngine::with_rule(
+                IsingGame::new(relabelled_graph, 0.6, 0.1),
+                MetropolisLogit,
+                0.4,
+            ),
+            &coloring,
+            &layout,
+            &start,
+            0x15_1A6,
+        );
+
+        // A congestion game has no count kernel, so it runs the direct
+        // loop. Player `p` of a label-shuffled ring picks resource `p` or
+        // `p + 1`, which makes its interaction graph a ring too.
+        let n = 300;
+        let mut rng = StdRng::seed_from_u64(0xC0C0);
+        let shuffle = VertexOrdering::random(n, &mut rng);
+        let ring_game = |player_at: &dyn Fn(usize) -> usize| {
+            let delays = (0..n)
+                .map(|r| (1..=n).map(|k| (k * (r % 3 + 1)) as f64).collect())
+                .collect();
+            let strategies = (0..n)
+                .map(|i| {
+                    let p = player_at(i);
+                    vec![vec![p], vec![(p + 1) % n]]
+                })
+                .collect();
+            CongestionGame::new(delays, strategies)
+        };
+        let congestion = ring_game(&|i| shuffle.position_of(i));
+        let (layout, graph) = LocalityLayout::for_game(&congestion);
+        let relabelled = ring_game(&|k| shuffle.position_of(layout.ordering().vertex_at(k)));
+        let coloring = coloring_for_graph(&graph);
+        let start: Vec<usize> = (0..n).map(|v| v % 3 % 2).collect();
+        check_locality_run(
+            &DynamicsEngine::with_rule(congestion, Logit, 0.8),
+            &DynamicsEngine::with_rule(relabelled, Logit, 0.8),
+            &coloring,
+            &layout,
+            &start,
+            0xC0_57,
+        );
     }
 }

@@ -223,6 +223,7 @@ pub fn coloring_for_graph(graph: &logit_graphs::Graph) -> Coloring {
 }
 
 /// SplitMix64 finaliser: decorrelates the per-player stream seeds.
+#[inline]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -238,12 +239,25 @@ fn splitmix64(mut z: u64) -> u64 {
 /// `(seed, player, t)`, never on which worker ran her or in what order — so
 /// the parallel path and the sequential class sweep consume identical
 /// randomness per player and walk identical trajectories.
+#[inline]
 pub fn player_tick_seed(seed: u64, player: usize, t: u64) -> u64 {
     // Chained finaliser applications: splitmix64 is a bijection, so for a
     // fixed tick distinct players always get distinct seeds.
+    stream_seed(tick_stream(seed, t), player)
+}
+
+/// The two finaliser rounds of [`player_tick_seed`] that depend only on
+/// `(seed, t)`: a class sweep computes them once per tick and spends one
+/// round per player ([`stream_uniform`]).
+#[inline]
+pub(crate) fn tick_stream(seed: u64, t: u64) -> u64 {
     let h = splitmix64(seed ^ 0xC010_12ED_5EED_0001);
-    let h = splitmix64(h.wrapping_add(t));
-    splitmix64(h.wrapping_add(player as u64))
+    splitmix64(h.wrapping_add(t))
+}
+
+#[inline]
+fn stream_seed(stream: u64, player: usize) -> u64 {
+    splitmix64(stream.wrapping_add(player as u64))
 }
 
 /// The single uniform variate behind player `player`'s strategy draw at
@@ -255,8 +269,15 @@ pub fn player_tick_seed(seed: u64, player: usize, t: u64) -> u64 {
 /// complete per-player stream. Both coloured step paths sample from this,
 /// which keeps the per-update cost at sequential-stepping parity on one
 /// core while making the update order unobservable on many.
+#[inline]
 pub fn player_tick_uniform(seed: u64, player: usize, t: u64) -> f64 {
-    (player_tick_seed(seed, player, t) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    stream_uniform(tick_stream(seed, t), player)
+}
+
+/// [`player_tick_uniform`] for the tick whose [`tick_stream`] is `stream`.
+#[inline]
+pub(crate) fn stream_uniform(stream: u64, player: usize) -> f64 {
+    (stream_seed(stream, player) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {

@@ -148,12 +148,15 @@ impl<G: LocalGame + ?Sized> LocalGame for &G {
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         (**self).utilities_for_frozen_bytes(player, profile, out)
     }
+    #[inline]
     fn prefetch_frozen_bytes(&self, player: usize) {
         (**self).prefetch_frozen_bytes(player)
     }
+    #[inline]
     fn count_graph(&self) -> Option<&Graph> {
         (**self).count_graph()
     }
+    #[inline]
     fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
         (**self).count_key_bytes(player, profile)
     }
@@ -177,12 +180,15 @@ impl<G: LocalGame + ?Sized> LocalGame for std::sync::Arc<G> {
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         (**self).utilities_for_frozen_bytes(player, profile, out)
     }
+    #[inline]
     fn prefetch_frozen_bytes(&self, player: usize) {
         (**self).prefetch_frozen_bytes(player)
     }
+    #[inline]
     fn count_graph(&self) -> Option<&Graph> {
         (**self).count_graph()
     }
+    #[inline]
     fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
         (**self).count_key_bytes(player, profile)
     }
@@ -201,12 +207,15 @@ impl LocalGame for GraphicalCoordinationGame {
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         self.utilities_readonly_bytes(player, profile, out);
     }
+    #[inline]
     fn prefetch_frozen_bytes(&self, player: usize) {
         self.csr().prefetch_row(player);
     }
+    #[inline]
     fn count_graph(&self) -> Option<&Graph> {
         Some(self.graph())
     }
+    #[inline]
     fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
         GraphicalCoordinationGame::count_key_bytes(self, player, profile)
     }
@@ -225,12 +234,15 @@ impl LocalGame for IsingGame {
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         self.utilities_readonly_bytes(player, profile, out);
     }
+    #[inline]
     fn prefetch_frozen_bytes(&self, player: usize) {
         self.csr().prefetch_row(player);
     }
+    #[inline]
     fn count_graph(&self) -> Option<&Graph> {
         Some(self.graph())
     }
+    #[inline]
     fn count_key_bytes(&self, player: usize, profile: &[u8]) -> (usize, usize) {
         IsingGame::count_key_bytes(self, player, profile)
     }

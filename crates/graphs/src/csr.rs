@@ -151,7 +151,8 @@ impl CsrGraph {
 
     /// Hints the cache that the row of `u` is about to be read.
     ///
-    /// A colour-class sweep visits rows at a stride of roughly
+    /// A colour-class sweep over a colouring that is not blocked into
+    /// contiguous runs visits rows at a stride of roughly
     /// `num_classes` vertices, which is wide enough (hundreds of bytes at
     /// moderate degree) to defeat the hardware stride prefetcher once the
     /// target array spills out of L2 — exactly the `n ≥ 10⁶` regime this

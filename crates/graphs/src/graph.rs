@@ -180,10 +180,12 @@ impl Graph {
     /// RCM ordering, freeze to CSR, and a sweep in new-label order touches
     /// near-contiguous neighbourhoods.
     ///
-    /// Construction is `O(m log m)` via one sorted edge vector (bulk
-    /// `BTreeSet` build), deliberately bypassing the per-insert cost of
-    /// [`Graph::from_edges`] — relabelling a `10⁷`-vertex bench instance
-    /// happens on the measurement path.
+    /// Construction gathers: row `k` is the old row of
+    /// `ordering.vertex_at(k)` mapped through `position_of` and sorted, so
+    /// only rows are sorted and each row is written once, in order. The
+    /// edge set is read off the rows as `(k, v)` with `v > k`, already in
+    /// lexicographic order, and bulk-loads the `BTreeSet` — relabelling a
+    /// `10⁷`-vertex bench instance happens on the measurement path.
     ///
     /// # Panics
     /// Panics when the ordering covers a different vertex count.
@@ -193,29 +195,28 @@ impl Graph {
             self.n,
             "ordering covers a different vertex count"
         );
-        let mut mapped: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .map(|&(u, v)| {
-                let (a, b) = (ordering.position_of(u), ordering.position_of(v));
-                (a.min(b), a.max(b))
+        let adj: Vec<Vec<usize>> = (0..self.n)
+            .map(|k| {
+                let mut row: Vec<usize> = self.adj[ordering.vertex_at(k)]
+                    .iter()
+                    .map(|&v| ordering.position_of(v))
+                    .collect();
+                row.sort_unstable();
+                row
             })
             .collect();
-        mapped.sort_unstable();
-        let mut adj = vec![Vec::new(); self.n];
-        for &(u, v) in &mapped {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-        for row in &mut adj {
-            row.sort_unstable();
-        }
+        let edges = adj
+            .iter()
+            .enumerate()
+            .flat_map(|(k, row)| {
+                let above = row.partition_point(|&v| v < k);
+                row[above..].iter().map(move |&v| (k, v))
+            })
+            .collect();
         Graph {
             n: self.n,
             adj,
-            // A permutation maps distinct edges to distinct edges, so the
-            // sorted vector bulk-loads without dedup.
-            edges: mapped.into_iter().collect(),
+            edges,
         }
     }
 }
@@ -336,6 +337,60 @@ mod tests {
         assert_eq!(g.relabelled(&VertexOrdering::identity(5)), g);
         for v in 0..5 {
             assert!(r.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    /// The edge-sort construction `relabelled` replaced: map every edge,
+    /// sort the whole edge list, push it into rows and sort each row. Kept
+    /// as the oracle of the gather construction.
+    fn relabelled_by_edge_sort(g: &Graph, ordering: &crate::ordering::VertexOrdering) -> Graph {
+        let mut mapped: Vec<(usize, usize)> = g
+            .edges
+            .iter()
+            .map(|&(u, v)| {
+                let (a, b) = (ordering.position_of(u), ordering.position_of(v));
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        mapped.sort_unstable();
+        let mut adj = vec![Vec::new(); g.n];
+        for &(u, v) in &mapped {
+            adj[u].push(v);
+            adj[v].push(u);
+        }
+        for row in &mut adj {
+            row.sort_unstable();
+        }
+        Graph {
+            n: g.n,
+            adj,
+            edges: mapped.into_iter().collect(),
+        }
+    }
+
+    #[test]
+    fn relabelled_equals_the_edge_sort_construction() {
+        use crate::builders::GraphBuilder;
+        use crate::ordering::VertexOrdering;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x6A7E);
+        let mut graphs = vec![Graph::new(1), Graph::new(6)];
+        for (n, p) in [(2, 1.0), (9, 0.3), (40, 0.1), (40, 0.6), (150, 0.05)] {
+            for _ in 0..3 {
+                graphs.push(GraphBuilder::erdos_renyi(n, p, &mut rng));
+            }
+        }
+        for g in &graphs {
+            let n = g.num_vertices();
+            let mut orderings = vec![VertexOrdering::identity(n)];
+            orderings.extend((0..4).map(|_| VertexOrdering::random(n, &mut rng)));
+            for ordering in &orderings {
+                assert!(
+                    g.relabelled(ordering) == relabelled_by_edge_sort(g, ordering),
+                    "gather relabel differs on {g:?} under {ordering:?}"
+                );
+            }
         }
     }
 

@@ -2,15 +2,14 @@
 //!
 //! Building a job's environment is dominated by work that is a pure
 //! function of the *game description* — the interaction graph, its greedy
-//! colouring (for the parallel-revision schedule), and the
-//! [`LocalityLayout`] reordering diagnostics. A multi-tenant server sees
+//! colouring (for the parallel-revision schedule), and its bandwidth
+//! before and after RCM relabelling. A multi-tenant server sees
 //! the same handful of descriptions over and over, so these are computed
 //! once per content hash ([`JobSpec::content_key`](crate::JobSpec::content_key)),
 //! shared as `Arc`s across concurrent jobs, and evicted least-recently-used
 //! once the cache is full. β-ladders get the same treatment in a second,
 //! smaller cache.
 
-use logit_core::LocalityLayout;
 use logit_graphs::{Coloring, Graph};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -160,8 +159,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 }
 
 /// Everything derived from one game description that jobs can share:
-/// the interaction graph, its greedy colouring, and the RCM locality
-/// ordering with its bandwidth diagnostics.
+/// the interaction graph, its greedy colouring, and the graph's bandwidth
+/// before and after an RCM relabelling — the two numbers of the ACCEPTED
+/// frame. Jobs run on the original labelling, so no relabelled layout is
+/// kept.
 #[derive(Debug)]
 pub struct GameArtifacts {
     /// The interaction graph the topology describes.
@@ -169,9 +170,8 @@ pub struct GameArtifacts {
     /// Greedy colouring of `graph` — the `schedule=coloured` revision
     /// classes.
     pub coloring: Coloring,
-    /// RCM relabelling of the game's interaction structure.
-    pub layout: LocalityLayout,
-    /// Adjacency bandwidth before/after the RCM relabelling.
+    /// Adjacency bandwidth under the identity order and under
+    /// `rcm_ordering(graph)`, as `LocalityLayout` reports them.
     pub bandwidth: (usize, usize),
 }
 

@@ -24,13 +24,13 @@ use crate::job::{
 use crate::protocol::{SeriesPoint, StreamedResult};
 use logit_anneal::BetaLadder;
 use logit_core::{
-    coloring_for_graph, AllLogit, CancelToken, ColouredBlocks, DynamicsEngine, LocalityLayout,
-    Logit, MetropolisLogit, NoisyBestResponse, PipelineConfig, PotentialObservable,
-    ProfileEnsembleResult, ProfileObservable, SelectionSchedule, Simulator, StrategyFraction,
-    SystematicSweep, TemperedEnsembleResult, TemperingEnsemble, UpdateRule,
+    coloring_for_graph, AllLogit, CancelToken, ColouredBlocks, DynamicsEngine, Logit,
+    MetropolisLogit, NoisyBestResponse, PipelineConfig, PotentialObservable, ProfileEnsembleResult,
+    ProfileObservable, SelectionSchedule, Simulator, StrategyFraction, SystematicSweep,
+    TemperedEnsembleResult, TemperingEnsemble, UpdateRule,
 };
 use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame, PotentialGame};
-use logit_graphs::{CsrGraph, GraphBuilder};
+use logit_graphs::{bandwidth_of_ordering, rcm_ordering, CsrGraph, GraphBuilder, VertexOrdering};
 use std::sync::Arc;
 
 /// A job that has passed both admission stages and holds its shared
@@ -127,20 +127,13 @@ fn build_artifacts(spec: &JobSpec) -> Result<Arc<GameArtifacts>, AdmissionError>
     // admission limits, but the farm must never see an unchecked graph).
     CsrGraph::try_from_graph(&graph)?;
     let coloring = coloring_for_graph(&graph);
-    let (layout, _) = match spec.game {
-        GameFamily::Graphical { delta0, delta1 } => {
-            let base = CoordinationGame::try_from_deltas(delta0, delta1)?;
-            LocalityLayout::for_game(&GraphicalCoordinationGame::new(graph.clone(), base))
-        }
-        GameFamily::Ising { coupling, field } => {
-            LocalityLayout::for_game(&IsingGame::try_new(graph.clone(), coupling, field)?)
-        }
-    };
-    let bandwidth = (layout.bandwidth_before(), layout.bandwidth_after());
+    let bandwidth = (
+        bandwidth_of_ordering(&graph, &VertexOrdering::identity(graph.num_vertices())),
+        bandwidth_of_ordering(&graph, &rcm_ordering(&graph)),
+    );
     Ok(Arc::new(GameArtifacts {
         graph,
         coloring,
-        layout,
         bandwidth,
     }))
 }

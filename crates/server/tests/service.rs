@@ -303,6 +303,56 @@ fn the_artifact_cache_is_shared_and_lru_bounded() {
 }
 
 #[test]
+fn accepted_bandwidth_matches_the_locality_layout() {
+    use logit_core::{coloring_for_graph, LocalityLayout};
+    use logit_graphs::GraphBuilder;
+    use logit_server::protocol::{read_frame, write_frame, ACCEPTED, DONE, SUBMIT};
+    use std::net::TcpStream;
+
+    let _histograms = shared_histograms();
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let cases = [
+        ("topology=ring\nn=30", GraphBuilder::ring(30)),
+        ("topology=torus\nrows=4\ncols=6", GraphBuilder::torus(4, 6)),
+        (
+            "topology=circulant\nn=40\nk=3",
+            GraphBuilder::circulant(40, 3),
+        ),
+    ];
+    for (topology, graph) in cases {
+        let job = format!(
+            "game=graphical\n{topology}\ndelta0=2.0\ndelta1=1.0\n\
+             rule=logit\nschedule=uniform\nmode=pipelined\nbeta=1.0\nsteps=100\n\
+             sample_every=50\nobservable=fraction1\nreplicas=1\nseed=7"
+        );
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        write_frame(&mut stream, SUBMIT, &job).expect("submit");
+        let accepted = match read_frame(&mut stream).expect("read") {
+            Some((ACCEPTED, payload)) => payload,
+            other => panic!("{topology}: expected ACCEPTED, got {other:?}"),
+        };
+        // Drain to DONE, so the job completes rather than being cancelled.
+        while let Some((kind, _)) = read_frame(&mut stream).expect("read") {
+            if kind == DONE {
+                break;
+            }
+        }
+        let layout = LocalityLayout::from_graph(&graph, &coloring_for_graph(&graph));
+        let want = format!(
+            "bandwidth={}->{}",
+            layout.bandwidth_before(),
+            layout.bandwidth_after()
+        );
+        assert!(
+            accepted.split(' ').any(|field| field == want),
+            "{topology}: ACCEPTED `{accepted}` lacks `{want}`"
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
 fn sequential_connections_leave_a_bounded_number_of_handler_threads() {
     let _histograms = shared_histograms();
     // Every connection gets a handler thread; the listener must reap them
