@@ -16,8 +16,8 @@ use logit_core::parallel::{coloring_for_game, coloring_for_graph};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 use logit_core::schedules::UniformSingle;
 use logit_core::{
-    ChannelBackendKind, DynamicsEngine, LocalityLayout, PipelineConfig, ReducerMode, RuntimeConfig,
-    Scratch, Simulator, TemperingEnsemble, WorkerPool,
+    DynamicsEngine, LocalityLayout, PipelineConfig, ReducerMode, RuntimeConfig, Scratch, Simulator,
+    TemperingEnsemble, WorkerPool,
 };
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::{Coloring, Graph, GraphBuilder, VertexOrdering};
@@ -834,16 +834,16 @@ fn large_n_rows(steps: u64, full: bool) -> String {
 
 /// Aggregate stepping throughput of a replica ensemble through either the
 /// sequential `run_profiles` path (observables evaluated on the stepping
-/// threads, end-of-run fold) or the pipelined farm/reducer stages
-/// (observables evaluated off the stepping threads, streamed reduction).
-/// Returns the rate and the full result so the caller can pin the
-/// bit-identity contract in-process.
+/// threads, end-of-run fold; `pipelined = None`) or the pipelined
+/// farm/reducer stages under the given reducer mode (observables evaluated
+/// off the stepping threads, streamed reduction). Returns the rate and the
+/// full result so the caller can pin the bit-identity contract in-process.
 fn ensemble_steps_per_sec<U: UpdateRule>(
     n: usize,
     rule: U,
     replicas: usize,
     steps_per_replica: u64,
-    pipelined: bool,
+    pipelined: Option<ReducerMode>,
 ) -> (f64, logit_core::ProfileEnsembleResult) {
     let dynamics = ring_dynamics(n, rule);
     let sim = Simulator::new(0xB1BE, replicas);
@@ -851,22 +851,25 @@ fn ensemble_steps_per_sec<U: UpdateRule>(
     let start = vec![0usize; n];
     let sample_every = (steps_per_replica / 8).max(1);
     let clock = std::time::Instant::now();
-    let result = if pipelined {
-        sim.run_profiles_pipelined(
+    let result = match pipelined {
+        Some(reducer) => sim.run_profiles_pipelined_with(
             &dynamics,
             &start,
             steps_per_replica,
             sample_every,
             &observable,
-        )
-    } else {
-        sim.run_profiles(
+            &PipelineConfig {
+                reducer,
+                ..PipelineConfig::default()
+            },
+        ),
+        None => sim.run_profiles(
             &dynamics,
             &start,
             steps_per_replica,
             sample_every,
             &observable,
-        )
+        ),
     };
     let total = steps_per_replica * replicas as u64;
     let rate = total as f64 / clock.elapsed().as_secs_f64();
@@ -912,9 +915,14 @@ fn pipelined_row<U: UpdateRule>(
     let mut rounds: Vec<(f64, f64)> = (0..3)
         .map(|_| {
             let (seq, seq_result) =
-                ensemble_steps_per_sec(n, rule.clone(), replicas, steps_per_replica, false);
-            let (pipe, pipe_result) =
-                ensemble_steps_per_sec(n, rule.clone(), replicas, steps_per_replica, true);
+                ensemble_steps_per_sec(n, rule.clone(), replicas, steps_per_replica, None);
+            let (pipe, pipe_result) = ensemble_steps_per_sec(
+                n,
+                rule.clone(),
+                replicas,
+                steps_per_replica,
+                Some(ReducerMode::Ordered),
+            );
             assert_bit_identical(
                 &seq_result,
                 &pipe_result,
@@ -938,42 +946,6 @@ fn pipelined_row<U: UpdateRule>(
         "        {{\"rule\": \"{}\", \"n\": {n}, \"replicas\": {replicas}, \"sequential_steps_per_sec\": {seq:.0}, \"pipelined_steps_per_sec\": {pipe:.0}, \"pipelined_over_sequential\": {ratio:.3}}}",
         rule.name()
     )
-}
-
-/// One pipelined ensemble run under an explicit channel backend and reducer
-/// mode, for the `channel_backends` row-set. Same workload shape as
-/// [`ensemble_steps_per_sec`] so the rows are comparable to the `pipelined`
-/// row-set.
-fn backend_ensemble_steps_per_sec(
-    n: usize,
-    replicas: usize,
-    steps_per_replica: u64,
-    backend: ChannelBackendKind,
-    reducer: ReducerMode,
-) -> (f64, logit_core::ProfileEnsembleResult) {
-    let dynamics = ring_dynamics(n, Logit);
-    let sim = Simulator::new(0xB1BE, replicas);
-    let observable = StrategyFraction::new(1, "adopters");
-    let start = vec![0usize; n];
-    let sample_every = (steps_per_replica / 8).max(1);
-    let config = PipelineConfig {
-        backend,
-        reducer,
-        ..PipelineConfig::default()
-    };
-    let clock = std::time::Instant::now();
-    let result = sim.run_profiles_pipelined_with(
-        &dynamics,
-        &start,
-        steps_per_replica,
-        sample_every,
-        &observable,
-        &config,
-    );
-    let total = steps_per_replica * replicas as u64;
-    let rate = total as f64 / clock.elapsed().as_secs_f64();
-    std::hint::black_box(&result.final_values);
-    (rate, result)
 }
 
 /// The unordered-reducer gate: counts, min/max, finals and the empirical
@@ -1010,108 +982,33 @@ fn assert_unordered_matches_ordered(
     }
 }
 
-/// The `channel_backends` row-set: the three channel backends race on the
-/// same pipelined ensemble, interleaved within each round so host drift
-/// cancels out of the ratios. Gates asserted in-process before any row is
-/// emitted:
-/// * ordered mode is bit-identical to `run_profiles` on **every** backend;
-/// * the best backend's median ratio vs the same-round `sync_channel` rate
-///   is >= 1.0 (sync itself scores exactly 1.0, so the gate pins "no
-///   backend regression" rather than a host-dependent speedup);
-/// * unordered mode matches the ordered result per the merge contract.
-fn channel_backend_rows(n: usize, steps: u64) -> String {
-    let replicas = 8usize;
-    let steps_per_replica = (steps / replicas as u64).max(1);
-    let backends = ChannelBackendKind::ALL;
-    let mut rates: Vec<Vec<f64>> = vec![Vec::new(); backends.len()];
-    for _round in 0..3 {
-        let (_, seq_result) = ensemble_steps_per_sec(n, Logit, replicas, steps_per_replica, false);
-        for (b, &backend) in backends.iter().enumerate() {
-            let (rate, result) = backend_ensemble_steps_per_sec(
-                n,
-                replicas,
-                steps_per_replica,
-                backend,
-                ReducerMode::Ordered,
-            );
-            assert_bit_identical(
-                &seq_result,
-                &result,
-                &format!("{} backend at n = {n}", backend.name()),
-            );
-            rates[b].push(rate);
-        }
-    }
-    // Correctness leg (untimed): the unordered reducer on every backend.
-    let (_, ordered_ref) = backend_ensemble_steps_per_sec(
-        n,
-        replicas,
-        steps_per_replica,
-        ChannelBackendKind::Sync,
-        ReducerMode::Ordered,
-    );
-    for &backend in &backends {
-        let (_, unordered) = backend_ensemble_steps_per_sec(
-            n,
-            replicas,
-            steps_per_replica,
-            backend,
-            ReducerMode::Unordered,
-        );
-        assert_unordered_matches_ordered(
-            &ordered_ref,
-            &unordered,
-            &format!("{} backend at n = {n}", backend.name()),
-        );
-    }
-    // Per-round ratios vs the same round's sync rate, then the median.
-    let ratios: Vec<f64> = (0..backends.len())
-        .map(|b| {
-            median(
-                (0..rates[b].len())
-                    .map(|round| rates[b][round] / rates[0][round])
-                    .collect(),
-            )
-        })
-        .collect();
-    let best = ratios.iter().cloned().fold(f64::MIN, f64::max);
-    assert!(
-        best >= 1.0,
-        "no channel backend reached the sync_channel baseline (best ratio {best:.3})"
-    );
-    let rows: Vec<String> = backends
-        .iter()
-        .enumerate()
-        .map(|(b, backend)| {
-            let rate = median(rates[b].clone());
-            eprintln!(
-                "  channel_backends {:>6} n = {n:>6}: ordered = {rate:.3e} steps/s, ratio vs sync = {:.3}",
-                backend.name(),
-                ratios[b]
-            );
-            format!(
-                "        {{\"backend\": \"{}\", \"n\": {n}, \"replicas\": {replicas}, \"ordered_steps_per_sec\": {rate:.0}, \"ratio_vs_sync\": {:.3}, \"unordered_equivalence_checked\": true}}",
-                backend.name(),
-                ratios[b]
-            )
-        })
-        .collect();
-    format!(
-        "  \"channel_backends\": {{\n    \"what\": \"run_profiles_pipelined_with racing the three ChannelBackendKind transports (sync_channel, lock-free SPSC rings, lock-free MPMC) on the same Logit ensemble, {replicas} replicas, 3 interleaved rounds; in-process gates before emission: ordered mode bit-identical to run_profiles on every backend, best median ratio vs the same-round sync rate >= 1.0, and the unordered merge-on-arrival reducer matching ordered exactly on counts/min/max/finals/law and to fp rounding on moments\",\n    \"rows\": [\n{}\n    ]\n  }}",
-        rows.join(",\n")
-    )
-}
-
 fn pipelined_rows(n: usize, steps: u64) -> String {
     let replicas = 8usize;
     let steps_per_replica = (steps / replicas as u64).max(1);
+    // Untimed correctness leg, before any row: the unordered reducer
+    // against the ordered one on the same Logit ensemble.
+    let (_, ordered) = ensemble_steps_per_sec(
+        n,
+        Logit,
+        replicas,
+        steps_per_replica,
+        Some(ReducerMode::Ordered),
+    );
+    let (_, unordered) = ensemble_steps_per_sec(
+        n,
+        Logit,
+        replicas,
+        steps_per_replica,
+        Some(ReducerMode::Unordered),
+    );
+    assert_unordered_matches_ordered(&ordered, &unordered, &format!("Logit at n = {n}"));
     let rows = [
         pipelined_row(Logit, n, replicas, steps_per_replica),
         pipelined_row(MetropolisLogit, n, replicas, steps_per_replica),
         pipelined_row(NoisyBestResponse::new(0.1), n, replicas, steps_per_replica),
     ];
     format!(
-        "  \"pipelined\": {{\n    \"what\": \"Simulator::run_profiles_pipelined (farm of step workers -> bounded channels -> streamed observable reducer) vs run_profiles through the same engine, {replicas} replicas, StrategyFraction sampled 8x per run; bit-identity of the final observable values and every per-time series statistic is asserted in-process every round, and the committed per-rule ratio is the invariant (stepping throughput must stay within 10% of the sequential baseline while reduction runs off the stepping threads)\",\n    \"rows\": [\n{}\n    ]\n  }}",
+        "  \"pipelined\": {{\n    \"what\": \"Simulator::run_profiles_pipelined (farm of step workers -> bounded channels -> streamed observable reducer) vs run_profiles through the same engine, {replicas} replicas, StrategyFraction sampled 8x per run; bit-identity of the final observable values and every per-time series statistic is asserted in-process every round, the unordered merge-on-arrival reducer is checked against the ordered one before any row (exact on counts/min/max/finals/law, fp rounding on moments), and the committed per-rule ratio is the invariant (stepping throughput must stay within 10% of the sequential baseline while reduction runs off the stepping threads)\",\n    \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     )
 }
@@ -1333,11 +1230,6 @@ fn main() {
     // can never emit a baseline.
     let pipelined = pipelined_rows(10_000, steps);
 
-    // Channel-backend rows: the three farm transports raced on the same
-    // ensemble, with the ordered bit-identity and unordered-equivalence
-    // gates asserted before any row is emitted.
-    let channel_backends = channel_backend_rows(10_000, steps);
-
     // Coloured independent-set rows: the parallel-revision engine paths on
     // a dense-degree circulant, gated on the in-process bit-identity check.
     let coloured = coloured_rows(steps);
@@ -1359,7 +1251,7 @@ fn main() {
     let telemetry = json_escape(&logit_telemetry::global().render());
 
     println!(
-        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{channel_backends},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
+        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
         rule_sets.join(",\n")
     );
 }

@@ -97,8 +97,8 @@ pub use parallel::{
     coloring_for_game, coloring_for_graph, player_tick_seed, ColouredBlocks, RandomBlock,
 };
 pub use pipeline::{
-    CancelToken, ChannelBackendKind, OrderedSeriesReducer, PipelineConfig, PipelineConfigError,
-    ReducerMode, SnapshotBatch,
+    CancelToken, OrderedSeriesReducer, PipelineConfig, PipelineConfigError, ReducerMode,
+    SnapshotBatch,
 };
 pub use rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 pub use runtime::{RuntimeConfig, ThreadRegistry, WaitPolicy, WorkerEntry, WorkerPool};

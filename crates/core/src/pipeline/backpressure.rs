@@ -14,7 +14,7 @@
 //! [`before_send`](LagController::before_send) before publishing a batch;
 //! the reducer calls [`after_recv`](LagController::after_recv) as batches
 //! land. The controller watches channel occupancy (its own in-flight
-//! count — exact, unlike peeking at backend internals):
+//! count — exact, unlike peeking at channel internals):
 //!
 //! * sustained high occupancy → the reducer is the bottleneck → double the
 //!   chunk size (fewer, larger batches; bounded by `64 × base`), and widen

@@ -61,22 +61,16 @@
 //! Pooling is non-blocking on both sides and invisible in the results — the
 //! bit-identity contract is asserted through this path.
 //!
-//! **Channel backends.** The worker→reducer boundary is pluggable: the
-//! [`channel`] module abstracts it behind the
-//! [`ChannelBackend`](channel::ChannelBackend) trait with three racing
-//! implementations (`sync_channel`, lock-free SPSC rings, lock-free MPMC),
-//! selected per run via [`PipelineConfig::backend`]. All of them preserve
-//! the bit-identity contract in the default ordered-reducer mode; the
+//! **Transport.** The worker→reducer boundary is a plain bounded
+//! `std::sync::mpsc::sync_channel`: the farm has a single reducer, and
+//! lock-free rings measured no faster. The default [`ReducerMode::Ordered`] keeps the bit-identity contract; the
 //! opt-in [`ReducerMode::Unordered`] trades that pin for merge-on-arrival
 //! folding with zero reordering stalls, and [`PipelineConfig::adaptive`]
 //! lets the farm retune its chunking from observed reducer lag (see
 //! [`backpressure`](self)).
 
-pub mod channel;
-
 mod backpressure;
 
-use self::channel::{AnyChannelReceiver, AnyChannelSender, ChannelReceiver, ChannelSender};
 use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
@@ -91,10 +85,8 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Mutex;
-
-pub use self::channel::ChannelBackendKind;
 
 /// Tuning knobs of the pipelined runner. The defaults are safe everywhere;
 /// none of them affect the result (the bit-identity contract), only
@@ -120,17 +112,9 @@ pub struct PipelineConfig {
     /// this is the *base* the controller returns to when the reducer keeps
     /// up.
     pub chunk_ticks: u64,
-    /// Bounded-channel capacity in batches (≥ 1). Per-lane backends split
-    /// this total across the lanes (floor division, at least one slot per
-    /// lane — see
-    /// [`ChannelBackendKind::effective_capacity`](channel::ChannelBackendKind::effective_capacity)
-    /// for the honest bound).
+    /// Bounded-channel capacity in batches, in
+    /// `1..=`[`MAX_CHANNEL_CAPACITY`](Self::MAX_CHANNEL_CAPACITY).
     pub channel_capacity: usize,
-    /// Which channel implementation carries worker→reducer batches.
-    /// Defaults to [`ChannelBackendKind::from_env`] (`sync_channel` unless
-    /// `LOGIT_CHANNEL_BACKEND` says otherwise); never affects results in
-    /// [`ReducerMode::Ordered`].
-    pub backend: ChannelBackendKind,
     /// How the reducer folds arriving batches; see [`ReducerMode`].
     pub reducer: ReducerMode,
     /// Adaptive backpressure: let the farm retune its effective chunk size
@@ -163,7 +147,6 @@ impl Default for PipelineConfig {
         Self {
             chunk_ticks: 4096,
             channel_capacity: 64,
-            backend: ChannelBackendKind::from_env(),
             reducer: ReducerMode::Ordered,
             adaptive: false,
         }
@@ -180,6 +163,9 @@ pub enum PipelineConfigError {
     ZeroChunkTicks,
     /// `channel_capacity` was zero.
     ZeroChannelCapacity,
+    /// `channel_capacity` exceeded
+    /// [`PipelineConfig::MAX_CHANNEL_CAPACITY`] (the offending value).
+    ChannelCapacityTooLarge(usize),
 }
 
 impl std::fmt::Display for PipelineConfigError {
@@ -189,6 +175,11 @@ impl std::fmt::Display for PipelineConfigError {
             PipelineConfigError::ZeroChannelCapacity => {
                 write!(f, "channel_capacity must be at least 1")
             }
+            PipelineConfigError::ChannelCapacityTooLarge(capacity) => write!(
+                f,
+                "channel_capacity {capacity} exceeds the maximum of {}",
+                PipelineConfig::MAX_CHANNEL_CAPACITY
+            ),
         }
     }
 }
@@ -196,6 +187,16 @@ impl std::fmt::Display for PipelineConfigError {
 impl std::error::Error for PipelineConfigError {}
 
 impl PipelineConfig {
+    /// The largest accepted `channel_capacity`. `sync_channel` allocates
+    /// every slot when the farm opens it, so the capacity must be bounded
+    /// before the allocation, not by it: an unbounded client-supplied value
+    /// aborts the process (an allocation failure is not a catchable panic).
+    /// The farm never needs more: it keeps every pool worker busy with a
+    /// couple of batches in flight each, and every batch in flight pins its
+    /// snapshot buffers, so 4096 batches is far past any useful depth while
+    /// its preallocation stays a few hundred kilobytes.
+    pub const MAX_CHANNEL_CAPACITY: usize = 4096;
+
     /// Checks the knobs without panicking — the admission-time counterpart
     /// of the entry-path `assert!`s, for callers (like a job server) that
     /// must turn a malformed configuration into a typed rejection rather
@@ -206,6 +207,11 @@ impl PipelineConfig {
         }
         if self.channel_capacity < 1 {
             return Err(PipelineConfigError::ZeroChannelCapacity);
+        }
+        if self.channel_capacity > Self::MAX_CHANNEL_CAPACITY {
+            return Err(PipelineConfigError::ChannelCapacityTooLarge(
+                self.channel_capacity,
+            ));
         }
         Ok(())
     }
@@ -276,12 +282,9 @@ pub(crate) enum FarmMsg<M> {
 }
 
 /// The sending half handed to farm workers: wraps the payload in
-/// [`FarmMsg::Payload`] so workers cannot forge completion markers, and
-/// carries the producer lane the backend may need (the SPSC rings key a
-/// lane per pool-worker thread; single-queue backends ignore it).
+/// [`FarmMsg::Payload`] so workers cannot forge completion markers.
 pub(crate) struct FarmSender<M: Send> {
-    tx: AnyChannelSender<FarmMsg<M>>,
-    lane: usize,
+    tx: SyncSender<FarmMsg<M>>,
     telemetry: FarmTelemetry,
 }
 
@@ -291,13 +294,11 @@ impl<M: Send> FarmSender<M> {
     pub(crate) fn send(&self, message: M) -> Result<(), M> {
         let sent = self
             .tx
-            .send(self.lane, FarmMsg::Payload(message))
-            .map_err(|e| {
-                match e {
-                    FarmMsg::Payload(m) => m,
-                    // We only ever send Payload here.
-                    FarmMsg::JobDone => unreachable!("payload send returned a marker"),
-                }
+            .send(FarmMsg::Payload(message))
+            .map_err(|e| match e.0 {
+                FarmMsg::Payload(m) => m,
+                // We only ever send Payload here.
+                FarmMsg::JobDone => unreachable!("payload send returned a marker"),
             });
         if sent.is_ok() {
             self.telemetry.batches_sent.inc();
@@ -312,8 +313,8 @@ impl<M: Send> FarmSender<M> {
 /// without the `telemetry` feature.
 #[derive(Clone)]
 struct FarmTelemetry {
-    /// `pipeline.batches_sent{backend="..."}` — payloads accepted by the
-    /// channel, per backend (completion markers are not payloads).
+    /// `pipeline.batches_sent` — payloads accepted by the channel
+    /// (completion markers are not payloads).
     batches_sent: logit_telemetry::Counter,
     /// `pipeline.channel_in_flight` — payloads sent but not yet consumed
     /// by the reducer: the live channel occupancy.
@@ -324,34 +325,20 @@ struct FarmTelemetry {
 }
 
 impl FarmTelemetry {
-    fn register(backend: ChannelBackendKind) -> Self {
+    fn register() -> Self {
         let registry = logit_telemetry::global();
         FarmTelemetry {
-            batches_sent: registry
-                .counter_labelled("pipeline.batches_sent", ("backend", backend.name())),
+            batches_sent: registry.counter("pipeline.batches_sent"),
             in_flight: registry.gauge("pipeline.channel_in_flight"),
             reducer_lag: registry.histogram("pipeline.reducer_lag"),
         }
     }
 }
 
-/// The producer lane of the current thread for `tx`'s backend: the
-/// pool-worker index on per-lane backends (every farm job runs on a pool
-/// worker — `execute_with` never hands chunks to the caller), lane 0 on
-/// single-queue backends.
-fn farm_lane<M: Send>(tx: &AnyChannelSender<FarmMsg<M>>) -> usize {
-    if tx.is_per_lane() {
-        crate::runtime::current_worker_index()
-            .expect("farm jobs must run on pool-worker threads for per-lane channel backends")
-    } else {
-        0
-    }
-}
-
 /// The receiving half handed to the reducer: iterates worker payloads and
 /// ends (returns `None`) once every job has reported done.
 pub(crate) struct FarmReceiver<M: Send> {
-    rx: AnyChannelReceiver<FarmMsg<M>>,
+    rx: Receiver<FarmMsg<M>>,
     jobs_remaining: usize,
     telemetry: FarmTelemetry,
 }
@@ -362,7 +349,7 @@ impl<M: Send> Iterator for FarmReceiver<M> {
     fn next(&mut self) -> Option<M> {
         while self.jobs_remaining > 0 {
             match self.rx.recv() {
-                Some(FarmMsg::Payload(message)) => {
+                Ok(FarmMsg::Payload(message)) => {
                     // The occupancy *before* this consume is the backlog
                     // the reducer was behind by. Guarded so the disabled
                     // path never even loads the gauge cell.
@@ -374,11 +361,11 @@ impl<M: Send> Iterator for FarmReceiver<M> {
                     }
                     return Some(message);
                 }
-                Some(FarmMsg::JobDone) => self.jobs_remaining -= 1,
+                Ok(FarmMsg::JobDone) => self.jobs_remaining -= 1,
                 // Defensive: the farm keeps a sender alive for the whole
                 // reduction, so disconnection before the last JobDone
                 // cannot happen.
-                None => return None,
+                Err(_) => return None,
             }
         }
         None
@@ -402,7 +389,6 @@ impl<M: Send> Iterator for FarmReceiver<M> {
 /// lets workers drain out and is then re-raised itself.
 pub(crate) fn farm<M, W, F, R>(
     pool: &WorkerPool,
-    backend: ChannelBackendKind,
     jobs: usize,
     workers: usize,
     capacity: usize,
@@ -416,17 +402,15 @@ where
 {
     assert!(jobs >= 1, "farm needs at least one job");
     assert!(capacity >= 1, "channel capacity must be at least 1");
-    let (tx, rx) = backend.open::<FarmMsg<M>>(capacity, pool.workers().max(1), pool.wait_policy());
-    let telemetry = FarmTelemetry::register(backend);
+    let (tx, rx) = sync_channel::<FarmMsg<M>>(capacity);
+    let telemetry = FarmTelemetry::register();
     let stop = AtomicBool::new(false);
     let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
     let job_fn = |job: usize| {
-        let lane = farm_lane(&tx);
         if !stop.load(Ordering::Relaxed) {
             let sender = FarmSender {
                 tx: tx.clone(),
-                lane,
                 telemetry: telemetry.clone(),
             };
             match catch_unwind(AssertUnwindSafe(|| worker(job, &sender))) {
@@ -446,7 +430,7 @@ where
         // Exactly one completion marker per job, whatever happened above:
         // the reducer's exit counts these. A failed send means the reducer
         // is gone, and with it the need for the marker.
-        let _ = tx.send(lane, FarmMsg::JobDone);
+        let _ = tx.send(FarmMsg::JobDone);
     };
 
     let reduced = pool.execute_with(jobs, workers, &job_fn, || {
@@ -930,7 +914,6 @@ impl Simulator {
         let reducer_mode = config.reducer;
         let reduced: Option<(Vec<RunningStats>, Vec<f64>)> = farm(
             self.pool(),
-            config.backend,
             replicas,
             workers,
             config.channel_capacity,
@@ -1066,7 +1049,8 @@ mod tests {
         let sim = Simulator::new(42, 24);
         let obs = StrategyFraction::new(1, "adopters");
         let sequential = sim.run_profiles(&d, &[0; 6], 205, 50, &obs);
-        // Chunking, capacity and worker count are unobservable in the result.
+        // Chunking, capacity and worker count are unobservable in the result,
+        // including three workers blocking on a two-slot channel.
         for (workers, config) in [
             (0, PipelineConfig::default()),
             (
@@ -1273,7 +1257,6 @@ mod tests {
         let pool = test_pool(1);
         let _ = farm(
             &pool,
-            ChannelBackendKind::Sync,
             1,
             1,
             0,
@@ -1331,107 +1314,93 @@ mod tests {
     #[test]
     fn farm_streams_every_message_and_reduces_on_the_caller() {
         let pool = test_pool(4);
-        for backend in ChannelBackendKind::ALL {
-            let sum = farm(
-                &pool,
-                backend,
-                100,
-                4,
-                8,
-                |job, tx: &FarmSender<usize>| tx.send(job * job).is_ok(),
-                |rx| rx.sum::<usize>(),
-            );
-            assert_eq!(
-                sum,
-                (0..100).map(|j| j * j).sum::<usize>(),
-                "{backend:?} lost messages"
-            );
-        }
+        let sum = farm(
+            &pool,
+            100,
+            4,
+            8,
+            |job, tx: &FarmSender<usize>| tx.send(job * job).is_ok(),
+            |rx| rx.sum::<usize>(),
+        );
+        assert_eq!(
+            sum,
+            (0..100).map(|j| j * j).sum::<usize>(),
+            "the farm lost messages"
+        );
     }
 
     #[test]
     fn farm_propagates_the_reducer_panic_after_workers_drain() {
         // A dying reducer must not deadlock blocked senders, and its panic —
-        // the root cause — must reach the caller. Pinned per backend: the
-        // disconnect story is part of the ChannelBackend contract.
+        // the root cause — must reach the caller.
         let pool = test_pool(2);
-        for backend in ChannelBackendKind::ALL {
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                farm(
-                    &pool,
-                    backend,
-                    50,
-                    2,
-                    1,
-                    |job, tx: &FarmSender<usize>| tx.send(job).is_ok(),
-                    |mut rx| {
-                        let first = rx.next();
-                        panic!("reducer rejected {first:?}");
-                    },
-                )
-            }));
-            let payload = caught.expect_err("the reducer panic must propagate");
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                message.contains("reducer rejected"),
-                "{backend:?}: expected the reducer's own panic, got {message:?}"
-            );
-        }
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            farm(
+                &pool,
+                50,
+                2,
+                1,
+                |job, tx: &FarmSender<usize>| tx.send(job).is_ok(),
+                |mut rx| {
+                    let first = rx.next();
+                    panic!("reducer rejected {first:?}");
+                },
+            )
+        }));
+        let payload = caught.expect_err("the reducer panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("reducer rejected"),
+            "expected the reducer's own panic, got {message:?}"
+        );
     }
 
     #[test]
     fn farm_propagates_a_worker_panic_as_the_root_cause() {
         // A dying worker truncates the stream; the reducer's incomplete-fold
-        // panic must not mask the worker's payload — on every backend, not
-        // just the sync_channel the pin was first recorded against.
+        // panic must not mask the worker's payload.
         let pool = test_pool(2);
-        for backend in ChannelBackendKind::ALL {
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                farm(
-                    &pool,
-                    backend,
-                    4,
-                    2,
-                    2,
-                    |job, _tx: &FarmSender<usize>| {
-                        if job == 1 {
-                            panic!("worker {job} exploded");
-                        }
-                        true
-                    },
-                    |rx| {
-                        let drained: Vec<usize> = rx.collect();
-                        panic!("stream truncated after {} messages", drained.len());
-                    },
-                )
-            }));
-            let payload = caught.expect_err("the worker panic must propagate");
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                message.contains("worker 1 exploded"),
-                "{backend:?}: expected the worker's panic as root cause, got {message:?}"
-            );
-        }
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            farm(
+                &pool,
+                4,
+                2,
+                2,
+                |job, _tx: &FarmSender<usize>| {
+                    if job == 1 {
+                        panic!("worker {job} exploded");
+                    }
+                    true
+                },
+                |rx| {
+                    let drained: Vec<usize> = rx.collect();
+                    panic!("stream truncated after {} messages", drained.len());
+                },
+            )
+        }));
+        let payload = caught.expect_err("the worker panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("worker 1 exploded"),
+            "expected the worker's panic as root cause, got {message:?}"
+        );
     }
 
     #[test]
     fn farm_reuses_the_pool_across_many_runs_without_thread_churn() {
         // The whole point of the persistent pool: many short farm runs on
-        // one pool, registry stable, no respawns — whichever backend each
-        // run picks.
+        // one pool, registry stable, no respawns.
         let pool = test_pool(3);
         let registry_size = pool.registry().len();
         for round in 0..50usize {
-            let backend = ChannelBackendKind::ALL[round % ChannelBackendKind::ALL.len()];
             let total = farm(
                 &pool,
-                backend,
                 6,
                 3,
                 4,
@@ -1445,61 +1414,55 @@ mod tests {
 
     #[test]
     fn every_channel_backend_is_bit_identical_in_ordered_mode() {
-        // The backend is a transport choice, not a semantic one: under the
-        // ordered reducer all three must reproduce the sequential bytes.
+        // The transport is not a semantic choice: under the ordered reducer
+        // the bounded farm channel must reproduce the sequential bytes.
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(11, 20, 3);
         let obs = StrategyFraction::new(1, "adopters");
         let sequential = sim.run_profiles(&d, &[0; 6], 190, 25, &obs);
-        for backend in ChannelBackendKind::ALL {
-            let config = PipelineConfig {
-                chunk_ticks: 9,
-                channel_capacity: 3,
-                backend,
-                ..PipelineConfig::default()
-            };
-            let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 190, 25, &obs, &config);
-            assert_results_identical(&sequential, &pipelined);
-        }
+        let config = PipelineConfig {
+            chunk_ticks: 9,
+            channel_capacity: 3,
+            ..PipelineConfig::default()
+        };
+        let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 190, 25, &obs, &config);
+        assert_results_identical(&sequential, &pipelined);
     }
 
     #[test]
     fn the_unordered_reducer_matches_ordered_up_to_fold_order() {
         // Merge-on-arrival gives up the byte-level pin on the Welford
         // moments only: counts, min/max, finals and the empirical law must
-        // stay exactly equal on every backend.
+        // stay exactly equal.
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(23, 18, 3);
         let obs = StrategyFraction::new(1, "adopters");
         let ordered = sim.run_profiles(&d, &[0; 6], 160, 20, &obs);
-        for backend in ChannelBackendKind::ALL {
-            let config = PipelineConfig {
-                chunk_ticks: 5,
-                channel_capacity: 2,
-                backend,
-                reducer: ReducerMode::Unordered,
-                ..PipelineConfig::default()
-            };
-            let unordered = sim.run_profiles_pipelined_with(&d, &[0; 6], 160, 20, &obs, &config);
-            assert_eq!(ordered.final_values, unordered.final_values, "{backend:?}");
-            assert_eq!(
-                ordered.law().ks_distance(&unordered.law()),
-                0.0,
-                "{backend:?}: the final-time empirical laws must coincide"
+        let config = PipelineConfig {
+            chunk_ticks: 5,
+            channel_capacity: 2,
+            reducer: ReducerMode::Unordered,
+            ..PipelineConfig::default()
+        };
+        let unordered = sim.run_profiles_pipelined_with(&d, &[0; 6], 160, 20, &obs, &config);
+        assert_eq!(ordered.final_values, unordered.final_values);
+        assert_eq!(
+            ordered.law().ks_distance(&unordered.law()),
+            0.0,
+            "the final-time empirical laws must coincide"
+        );
+        for (a, b) in ordered.series.iter().zip(&unordered.series) {
+            assert_eq!(a.count(), b.count());
+            assert_eq!(a.min(), b.min());
+            assert_eq!(a.max(), b.max());
+            assert!(
+                (a.mean() - b.mean()).abs() <= 1e-12,
+                "means drifted beyond fp rounding"
             );
-            for (a, b) in ordered.series.iter().zip(&unordered.series) {
-                assert_eq!(a.count(), b.count(), "{backend:?}");
-                assert_eq!(a.min(), b.min(), "{backend:?}");
-                assert_eq!(a.max(), b.max(), "{backend:?}");
-                assert!(
-                    (a.mean() - b.mean()).abs() <= 1e-12,
-                    "{backend:?}: means drifted beyond fp rounding"
-                );
-                assert!(
-                    (a.variance() - b.variance()).abs() <= 1e-12,
-                    "{backend:?}: variances drifted beyond fp rounding"
-                );
-            }
+            assert!(
+                (a.variance() - b.variance()).abs() <= 1e-12,
+                "variances drifted beyond fp rounding"
+            );
         }
     }
 
@@ -1507,22 +1470,19 @@ mod tests {
     fn adaptive_backpressure_keeps_the_bit_identity_pin() {
         // The controller only moves chunk boundaries and in-flight depth —
         // both proven result-invariant — so adaptive mode must still match
-        // the sequential bytes, on every backend.
+        // the sequential bytes.
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(5, 14, 2);
         let obs = StrategyFraction::new(1, "adopters");
         let sequential = sim.run_profiles(&d, &[0; 6], 150, 10, &obs);
-        for backend in ChannelBackendKind::ALL {
-            let config = PipelineConfig {
-                chunk_ticks: 2,
-                channel_capacity: 2,
-                backend,
-                adaptive: true,
-                ..PipelineConfig::default()
-            };
-            let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 150, 10, &obs, &config);
-            assert_results_identical(&sequential, &pipelined);
-        }
+        let config = PipelineConfig {
+            chunk_ticks: 2,
+            channel_capacity: 2,
+            adaptive: true,
+            ..PipelineConfig::default()
+        };
+        let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 150, 10, &obs, &config);
+        assert_results_identical(&sequential, &pipelined);
     }
 
     #[test]
@@ -1544,6 +1504,23 @@ mod tests {
         assert_eq!(
             zero_capacity.try_validate(),
             Err(PipelineConfigError::ZeroChannelCapacity)
+        );
+        // Both ends of the capacity range are owned here: the largest
+        // accepted value passes, one more is a typed rejection.
+        let widest = PipelineConfig {
+            channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(widest.try_validate(), Ok(()));
+        let huge = PipelineConfig {
+            channel_capacity: 1_000_000_000_000,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(
+            huge.try_validate(),
+            Err(PipelineConfigError::ChannelCapacityTooLarge(
+                1_000_000_000_000
+            ))
         );
         // The typed errors render the exact strings the entry-path panics
         // (and their should_panic pins) rely on.

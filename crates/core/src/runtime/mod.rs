@@ -31,7 +31,6 @@
 mod pool;
 mod registry;
 
-pub(crate) use pool::current_worker_index;
 pub use pool::WorkerPool;
 pub use registry::{ThreadRegistry, WorkerEntry};
 

@@ -61,9 +61,8 @@ thread_local! {
 }
 
 /// The spawn-time index of the pool worker running the current thread, or
-/// `None` off the pool. This is the stable per-thread lane key the SPSC
-/// channel backend needs: each pool worker owns exactly one producer lane,
-/// so single-producer ring invariants hold whatever job the chunk-stealing
+/// `None` off the pool: the stable per-thread key of the
+/// `runtime.chunks_stolen{worker}` counter, whatever job the chunk-stealing
 /// counter hands the thread.
 pub(crate) fn current_worker_index() -> Option<usize> {
     POOL_WORKER_INDEX.with(|cell| cell.get())

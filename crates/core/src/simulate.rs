@@ -725,7 +725,7 @@ impl Simulator {
 
     /// [`Self::run_tempered`] with explicit
     /// [`PipelineConfig`](crate::pipeline::PipelineConfig) knobs (channel
-    /// capacity, channel backend and reducer mode; `chunk_ticks` and
+    /// capacity and reducer mode; `chunk_ticks` and
     /// `adaptive` have no effect here — the tempering round structure
     /// already chunks the stream at sample rounds; the worker count comes
     /// from the simulator's
@@ -805,7 +805,6 @@ impl Simulator {
         let reducer_mode = config.reducer;
         let (acc, per_ensemble_stats) = farm(
             self.pool(),
-            config.backend,
             self.replicas,
             workers,
             config.channel_capacity,

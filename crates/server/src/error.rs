@@ -38,7 +38,7 @@ pub enum AdmissionError {
     /// non-finite endpoints, …).
     Ladder(LadderError),
     /// The client-supplied pipeline knobs are invalid (zero
-    /// `chunk_ticks`/`channel_capacity`).
+    /// `chunk_ticks`, or a `channel_capacity` outside its bounds).
     Pipeline(PipelineConfigError),
     /// The job queue is at capacity; retry later.
     QueueFull,

@@ -101,7 +101,7 @@ pub fn prepare(spec: JobSpec, cache: &ArtifactCache) -> Result<PreparedJob, Admi
         config.channel_capacity = channel_capacity;
     }
     // The boundary that used to be an `assert!` in the farm: a zero knob
-    // is now a typed `pipeline:` rejection.
+    // or an oversized channel is a typed `pipeline:` rejection.
     config.try_validate()?;
 
     Ok(PreparedJob {

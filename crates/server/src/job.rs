@@ -55,12 +55,18 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Number of players the topology induces.
+    /// Number of players the topology induces, saturating at `usize::MAX`
+    /// for dimensions whose product does not fit.
     pub fn num_players(&self) -> usize {
         match *self {
             Topology::Ring { n } | Topology::Clique { n } | Topology::Circulant { n, .. } => n,
-            Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => rows * cols,
-            Topology::Hypercube { dim } => 1usize << dim,
+            Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => {
+                rows.saturating_mul(cols)
+            }
+            Topology::Hypercube { dim } => u32::try_from(dim)
+                .ok()
+                .and_then(|dim| 1usize.checked_shl(dim))
+                .unwrap_or(usize::MAX),
         }
     }
 }
@@ -248,7 +254,9 @@ impl JobSpec {
             other => return Err(bad("topology", format!("unknown topology `{other}`"))),
         };
         // Pre-check the builder preconditions so malformed topologies are
-        // typed rejections, never a panic in a handler thread.
+        // typed rejections, never a panic in a handler thread. Every size
+        // product saturates: a client's integers may be anything up to
+        // `u64::MAX`, and a wrapped product could admit an unbounded graph.
         match topology {
             Topology::Ring { n } if n < 3 => {
                 return Err(bad("n", "a ring needs at least 3 vertices"));
@@ -256,7 +264,7 @@ impl JobSpec {
             Topology::Torus { rows, cols } if rows < 3 || cols < 3 => {
                 return Err(bad("rows", "a torus needs both dimensions at least 3"));
             }
-            Topology::Circulant { n, k } if k < 1 || n <= 2 * k => {
+            Topology::Circulant { n, k } if k < 1 || n <= k.saturating_mul(2) => {
                 return Err(bad("k", "a circulant needs 1 <= k and n >= 2k + 1"));
             }
             Topology::Hypercube { dim } if dim >= 21 => {
@@ -266,12 +274,12 @@ impl JobSpec {
         }
         let edges: u64 = match topology {
             Topology::Ring { n } => n as u64,
-            Topology::Clique { n } => (n as u64) * (n as u64).saturating_sub(1) / 2,
+            Topology::Clique { n } => (n as u64).saturating_mul((n as u64).saturating_sub(1)) / 2,
             Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => {
-                2 * (rows as u64) * (cols as u64)
+                (rows as u64).saturating_mul(cols as u64).saturating_mul(2)
             }
             Topology::Hypercube { dim } => (dim as u64) << (dim.saturating_sub(1)),
-            Topology::Circulant { n, k } => (n as u64) * (k as u64),
+            Topology::Circulant { n, k } => (n as u64).saturating_mul(k as u64),
         };
         if edges > limits::MAX_EDGES {
             return Err(bad(
@@ -439,8 +447,9 @@ impl JobSpec {
 
         // Pipeline-farm overrides are passed through *unchecked* here:
         // `PipelineConfig::try_validate` in `prepare` owns the boundary, so
-        // a zero lands there as a typed `pipeline:` admission error rather
-        // than tripping the farm's `assert!`.
+        // a zero or oversized value lands there as a typed `pipeline:`
+        // admission error rather than tripping the farm's `assert!` or its
+        // channel allocation.
         let chunk_ticks = f
             .take_opt("chunk_ticks")
             .map(|raw| {
@@ -582,6 +591,29 @@ mod tests {
 
         let nan_beta = JobSpec::parse(&base_job().replace("beta=1.25", "beta=nan"));
         assert_eq!(nan_beta.unwrap_err().code(), "bad-value");
+    }
+
+    #[test]
+    fn overflowing_topology_sizes_are_typed_rejections() {
+        // Each size product overflows u64: a debug build must not panic on
+        // it, and a release build must not wrap it into an admitted job.
+        for topology in [
+            "topology=circulant\nn=10\nk=9223372036854775808",
+            "topology=torus\nrows=4294967296\ncols=4294967296",
+            "topology=grid\nrows=4294967296\ncols=4294967296",
+            "topology=clique\nn=18446744073709551615",
+        ] {
+            let text = base_job().replace("topology=ring\nn=16", topology);
+            let err = JobSpec::parse(&text).expect_err(topology);
+            assert_eq!(err.code(), "bad-value", "{topology}: {err}");
+        }
+        // The saturating player count never wraps either.
+        let huge = Topology::Torus {
+            rows: 1 << 32,
+            cols: 1 << 32,
+        };
+        assert_eq!(huge.num_players(), usize::MAX);
+        assert_eq!(Topology::Hypercube { dim: 64 }.num_players(), usize::MAX);
     }
 
     #[test]

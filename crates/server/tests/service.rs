@@ -211,6 +211,27 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
 }
 
 #[test]
+fn an_oversized_channel_capacity_is_a_typed_pipeline_rejection() {
+    // `sync_channel` allocates every slot up front, so an admitted
+    // trillion-slot capacity would abort the process at run time, past the
+    // executor's `catch_unwind` backstop. Admission must refuse it.
+    let text = "game=graphical\ntopology=ring\nn=64\ndelta0=2.0\ndelta1=1.0\n\
+                rule=logit\nschedule=uniform\nmode=pipelined\nbeta=1.0\nsteps=100\n\
+                sample_every=10\nobservable=fraction1\nreplicas=2\nseed=1\n\
+                channel_capacity=1000000000000";
+    let spec = JobSpec::parse(text).expect("the capacity is not a parse-time check");
+    let cache = ArtifactCache::new(4);
+    match prepare(spec, &cache) {
+        Err(e) => {
+            let msg = e.to_string();
+            assert!(msg.starts_with("pipeline:"), "got `{msg}`");
+            assert!(msg.contains("1000000000000"), "got `{msg}`");
+        }
+        Ok(_) => panic!("a trillion-slot channel must not pass admission"),
+    }
+}
+
+#[test]
 fn rejected_and_cancelled_jobs_leave_the_pool_able_to_reproduce() {
     let _histograms = shared_histograms();
     // Tight interleaving: reject, cancel, complete, repeatedly on one
