@@ -11,10 +11,10 @@
 use crate::annealed::AnnealedDynamics;
 use crate::schedule::BetaSchedule;
 use logit_core::rules::{Logit, UpdateRule};
+use logit_core::runtime::map_on_env_pool;
 use logit_games::PotentialGame;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Result of an annealing run over many replicas.
 #[derive(Debug, Clone)]
@@ -45,8 +45,10 @@ impl AnnealingOutcome {
 /// Runs `replicas` independent annealed trajectories of `steps` steps from
 /// `start` and summarises how well they minimise the potential.
 ///
-/// Replicas run in parallel (rayon) with independent, reproducible RNG streams
-/// derived from `seed`.
+/// Replicas run in parallel with independent, reproducible RNG streams
+/// derived from `seed`, on a worker pool built for the call and sized by
+/// `LOGIT_WORKERS` ([`map_on_env_pool`]); do not call it from inside a pool
+/// job.
 pub fn anneal_minimize<G, S>(
     game: &G,
     schedule: S,
@@ -88,21 +90,16 @@ where
     let mut buf = vec![0usize; game.num_players()];
     let global_minimum = game.min_potential();
 
-    let finals: Vec<usize> = (0..replicas)
-        .into_par_iter()
-        .map(|replica| {
-            let dynamics =
-                AnnealedDynamics::with_rule(game.clone(), schedule.clone(), rule.clone());
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                seed ^ (replica as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            );
-            let mut state = start;
-            for t in 0..steps {
-                state = dynamics.step(t, state, &mut rng);
-            }
-            state
-        })
-        .collect();
+    let finals = map_on_env_pool(replicas, &|replica| {
+        let dynamics = AnnealedDynamics::with_rule(game.clone(), schedule.clone(), rule.clone());
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ (replica as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+        let mut state = start;
+        for t in 0..steps {
+            state = dynamics.step(t, state, &mut rng);
+        }
+        state
+    });
 
     let tol = 1e-9;
     let mut best_idx = finals[0];
@@ -150,6 +147,11 @@ where
 /// `AnnealingOutcome::steps` reports total engine ticks per ensemble
 /// (`rounds · sweep_ticks · K`), so step budgets are comparable with
 /// [`anneal_minimize`]'s single-chain `steps`.
+///
+/// Ensembles run on a worker pool built for the call and sized by
+/// `LOGIT_WORKERS` ([`map_on_env_pool`]), each calling the sequential
+/// `TemperingEnsemble::round` on its pool thread; do not call it from
+/// inside a pool job.
 #[allow(clippy::too_many_arguments)]
 pub fn tempering_minimize<G, U>(
     game: &G,
@@ -167,7 +169,6 @@ where
 {
     use logit_core::schedules::UniformSingle;
     use logit_core::TemperingEnsemble;
-    use rayon::prelude::*;
 
     assert!(ensembles > 0, "need at least one ensemble");
     let space = game.profile_space();
@@ -176,19 +177,16 @@ where
     let global_minimum = game.min_potential();
 
     let ensemble = TemperingEnsemble::new(game.clone(), rule, ladder.betas());
-    let finals: Vec<Vec<usize>> = (0..ensembles)
-        .into_par_iter()
-        .map(|e| {
-            let mut state = ensemble.init_state(
-                &start_profile,
-                seed ^ (e as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            );
-            for _ in 0..rounds {
-                ensemble.round(&UniformSingle, &mut state, sweep_ticks);
-            }
-            state.cold_profile().to_vec()
-        })
-        .collect();
+    let finals = map_on_env_pool(ensembles, &|e| {
+        let mut state = ensemble.init_state(
+            &start_profile,
+            seed ^ (e as u64).wrapping_mul(0xA076_1D64_78BD_642F),
+        );
+        for _ in 0..rounds {
+            ensemble.round(&UniformSingle, &mut state, sweep_ticks);
+        }
+        state.cold_profile().to_vec()
+    });
 
     let tol = 1e-9;
     let mut best_profile = finals[0].clone();

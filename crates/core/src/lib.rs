@@ -27,7 +27,7 @@
 //! * [`parallel`] — the coloured parallel-revision subsystem: the
 //!   [`parallel::RandomBlock`] and [`parallel::ColouredBlocks`] schedules,
 //!   the genuinely parallel independent-set engine path
-//!   (`step_coloured_par`, per-player RNG streams, bit-identical to the
+//!   (`step_coloured_pooled`, per-player RNG streams, bit-identical to the
 //!   sequential class sweep) and the exact coloured block/round chains,
 //! * [`locality`] — the memory-locality layer for `n = 10⁶`–`10⁷`:
 //!   reverse-Cuthill–McKee player relabelling ([`locality::LocalityLayout`],
@@ -37,17 +37,19 @@
 //!   sized by [`runtime::RuntimeConfig`]`::block_players`,
 //! * [`gibbs`] — numerically stable Gibbs measures and partition functions,
 //! * [`simulate`] — trajectory simulation, parallel replica ensembles and
-//!   empirical-distribution estimation (rayon-based),
+//!   empirical-distribution estimation (replicas mapped over the
+//!   simulator's [`runtime::WorkerPool`]),
 //! * [`pipeline`] — the PPL-style pipelined ensemble runner: a farm of step
 //!   workers feeding streamed observable reducers through bounded channels
 //!   ([`simulate::Simulator::run_profiles_pipelined`]), bit-identical to the
 //!   sequential path under fixed seeds,
-//! * [`runtime`] — the persistent parallel runtime: a spawn-once
-//!   [`runtime::WorkerPool`] with a thread registry (worker ids, optional
-//!   Linux core pinning), spin/yield/park wait policies, epoch-tagged
-//!   chunk-stealing dispatch and per-tick barriers, plus the unified
-//!   [`runtime::RuntimeConfig`] worker-count knob shared by the coloured,
-//!   pipelined and tempered paths,
+//! * [`runtime`] — the persistent parallel runtime, the workspace's only
+//!   one: a spawn-once [`runtime::WorkerPool`] with a thread registry
+//!   (worker ids, optional Linux core pinning), spin/yield/park wait
+//!   policies, epoch-tagged chunk-stealing dispatch, per-tick barriers and
+//!   an ordered parallel map, plus the unified [`runtime::RuntimeConfig`]
+//!   worker-count knob shared by the coloured, pipelined, tempered and
+//!   replica-map paths,
 //! * [`estimate`] — mixing-time measurement: exact (via `logit-markov`), spectral
 //!   bounds, and coupling-based upper estimates using the paper's couplings,
 //! * [`coupling`] — the maximal per-coordinate coupling of Theorem 3.6 / 4.2 and

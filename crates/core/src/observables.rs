@@ -14,7 +14,6 @@ use logit_games::{Game, PotentialGame, ProfileSpace};
 use logit_linalg::stats::RunningStats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// A scalar observable of a strategy profile (given by flat index).
 pub trait Observable {
@@ -344,7 +343,10 @@ impl TimeSeries {
 /// Records an observable along an ensemble of independent replicas of the logit
 /// dynamics, sampling it at the given `record_times` (which must be increasing).
 ///
-/// Replicas run in parallel with reproducible per-replica RNG streams.
+/// Replicas run in parallel with reproducible per-replica RNG streams, on a
+/// [`WorkerPool`](crate::runtime::WorkerPool) built for the call and sized
+/// by `LOGIT_WORKERS` ([`map_on_env_pool`](crate::runtime::map_on_env_pool));
+/// do not call it from inside a pool job.
 pub fn ensemble_time_series<G, U, O>(
     dynamics: &DynamicsEngine<G, U>,
     observable: &O,
@@ -367,26 +369,22 @@ where
     assert!(start < dynamics.num_states(), "start state out of range");
 
     let space = dynamics.space();
-    let per_replica: Vec<Vec<f64>> = (0..replicas)
-        .into_par_iter()
-        .map(|replica| {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                seed ^ (replica as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
-            );
-            let mut scratch = crate::dynamics::Scratch::for_game(dynamics.game());
-            let mut state = start;
-            let mut t = 0u64;
-            let mut values = Vec::with_capacity(record_times.len());
-            for &target in record_times {
-                while t < target {
-                    state = dynamics.step_indexed(state, &mut scratch, &mut rng);
-                    t += 1;
-                }
-                values.push(observable.evaluate(space, state));
+    let per_replica = crate::runtime::map_on_env_pool(replicas, &|replica| {
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ (replica as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        let mut scratch = crate::dynamics::Scratch::for_game(dynamics.game());
+        let mut state = start;
+        let mut t = 0u64;
+        let mut values = Vec::with_capacity(record_times.len());
+        for &target in record_times {
+            while t < target {
+                state = dynamics.step_indexed(state, &mut scratch, &mut rng);
+                t += 1;
             }
-            values
-        })
-        .collect();
+            values.push(observable.evaluate(space, state));
+        }
+        values
+    });
 
     let mut stats = vec![RunningStats::new(); record_times.len()];
     for values in &per_replica {

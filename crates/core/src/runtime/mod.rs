@@ -1,13 +1,12 @@
 //! Persistent parallel runtime: a worker pool spawned once and reused for
 //! every tick, plus the configuration knobs shared by all parallel paths.
 //!
-//! PR 5's coloured independent-set engine and PR 4's pipelined farm both
-//! paid a fresh `rayon::scope` (one OS-thread spawn per worker) on every
-//! tick or run, which is why the committed coloured `par_over_seq` sat at
-//! 0.66–0.77 and narrow colour classes could never amortise parallelism.
-//! This module replaces per-tick thread creation with the skeleton-library
-//! shape (spawn once, park on a wait policy, drive per-tick work through a
-//! claim counter and a completion barrier):
+//! This is the workspace's one threading runtime. A per-tick scoped
+//! thread spawn left the coloured sweep at 0.66–0.77 of the sequential
+//! sweep, and narrow colour classes could never amortise parallelism, so
+//! the pool takes the skeleton-library shape (spawn once, park on a wait
+//! policy, drive per-tick work through a claim counter and a completion
+//! barrier):
 //!
 //! * [`RuntimeConfig`] — the single notion of "how many threads" (worker
 //!   count, wait policy, core pinning, narrow-class threshold), threaded
@@ -16,6 +15,9 @@
 //!   `LOGIT_PIN_CORES`, `LOGIT_MIN_CLASS_SIZE`, `LOGIT_BLOCK_PLAYERS`).
 //! * [`WorkerPool`] — the persistent pool itself: chunked work
 //!   distribution ([`WorkerPool::run`], [`WorkerPool::for_each_chunk`]),
+//!   an ordered parallel map for replica ensembles and parameter grids
+//!   ([`WorkerPool::map`], and [`map_on_env_pool`] for entry points that
+//!   own no pool),
 //!   a concurrent caller lane for farm shapes
 //!   ([`WorkerPool::execute_with`]), per-dispatch barrier synchronisation,
 //!   and first-panic propagation.
@@ -51,6 +53,32 @@ fn first_warning(var: &str) -> bool {
 /// is no longer indistinguishable from the variable being unset.
 pub(crate) fn warn_invalid_env(var: &str, value: &str) {
     logit_telemetry::warn_invalid_env(var, value);
+}
+
+/// Ordered parallel map for entry points that own no
+/// [`Simulator`](crate::Simulator) pool: `[f(0), …, f(n - 1)]` on a
+/// [`WorkerPool`] built for this one call from
+/// [`RuntimeConfig::from_env`], with the caller plus
+/// `min(LOGIT_WORKERS, n) - 1` pool threads. With `n ≤ 1`, or one
+/// resolved worker, `f` runs inline and no pool is built.
+///
+/// Do not call it from inside a pool job: it would spawn a second set of
+/// threads beside the busy pool and oversubscribe the host.
+pub fn map_on_env_pool<T, F>(n: usize, f: &F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let config = RuntimeConfig::from_env();
+    let participants = config.resolved_workers().min(n);
+    if participants <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let pool = WorkerPool::new(&RuntimeConfig {
+        workers: participants - 1,
+        ..config
+    });
+    pool.map(n, participants, f)
 }
 
 /// How idle pool workers wait for the next dispatch. The policy sets how
@@ -105,9 +133,7 @@ impl WaitPolicy {
 }
 
 /// The one shared notion of "how parallel": worker count, wait policy,
-/// pinning, and the narrow-class amortisation guard. Replaces the former
-/// `PipelineConfig::workers` knob and `step_coloured_par`'s implicit
-/// per-call worker argument.
+/// pinning, and the narrow-class amortisation guard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Total stepping threads (including the calling thread for coloured

@@ -5,8 +5,8 @@
 //! configured [`WaitPolicy`]; a dispatch publishes one *job* (a chunked
 //! closure) through an epoch-tagged claim counter, workers steal chunks
 //! from the shared counter until none remain, and the caller blocks on a
-//! completion barrier. This replaces the per-tick `rayon::scope` thread
-//! spawns the coloured and pipelined engines used to pay.
+//! completion barrier, so no tick, farm or ensemble map pays a thread
+//! spawn.
 //!
 //! # Protocol
 //!
@@ -33,12 +33,11 @@
 //!
 //! Panics inside a chunk are caught, the first payload is stashed, the
 //! remaining chunks still run (the barrier must fill), and the payload is
-//! re-raised on the calling thread once the barrier completes — the same
-//! first-panic semantics as the vendored `rayon::scope`. One dispatch at a
-//! time: the pool is a per-`Simulator` resource, and nesting `run` inside
-//! a pool worker (or racing two dispatches from two threads) is a
-//! programming error that the `active` guard turns into a panic instead
-//! of silent corruption.
+//! re-raised on the calling thread once the barrier completes (first-panic
+//! semantics, the payload intact). One dispatch at a time: the pool is a
+//! per-`Simulator` resource, and nesting `run` inside a pool worker (or
+//! racing two dispatches from two threads) is a programming error that
+//! the `active` guard turns into a panic instead of silent corruption.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -413,7 +412,7 @@ impl WorkerPool {
         let job = self.install(chunks, helpers, f);
         self.shared.work_chunks(&job);
         self.barrier(chunks as u64);
-        self.finish(None);
+        self.finish();
     }
 
     /// Dispatches `chunks` invocations of `f` to up to `limit` pool
@@ -437,7 +436,8 @@ impl WorkerPool {
         debug_assert_eq!(job.chunks, chunks as u64);
         let result = catch_unwind(AssertUnwindSafe(caller_work));
         self.barrier(chunks as u64);
-        self.finish(result.as_ref().err().map(|_| ()));
+        // A chunk panic is the root cause and wins over the caller's own.
+        self.finish();
         match result {
             Ok(value) => value,
             Err(payload) => resume_unwind(payload),
@@ -468,6 +468,27 @@ impl WorkerPool {
             f(chunk, slice);
         };
         self.run(chunks, limit, &task);
+    }
+
+    /// Ordered parallel map: returns `[f(0), f(1), …, f(n - 1)]`, each
+    /// index run exactly once across the caller plus up to `limit - 1`
+    /// pool workers (one index per chunk, claimed dynamically). With
+    /// `n ≤ 1` or one participant the map runs inline on the caller and
+    /// [`dispatches`](Self::dispatches) does not move; a panic in `f`
+    /// re-raises its first payload on the caller, as in [`run`](Self::run).
+    pub fn map<T, F>(&self, n: usize, limit: usize, f: &F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        self.for_each_chunk(&mut slots, 1, limit, &|index, slot| {
+            slot[0] = Some(f(index));
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every index is mapped exactly once"))
+            .collect()
     }
 
     /// Publishes a job and returns the descriptor the caller itself may
@@ -529,9 +550,8 @@ impl WorkerPool {
     }
 
     /// Clears the dispatch guard and re-raises the first chunk panic, if
-    /// any. `caller_panicked` suppresses nothing — chunk panics always
-    /// win — it only exists to document the priority at the call site.
-    fn finish(&self, caller_panicked: Option<()>) {
+    /// any.
+    fn finish(&self) {
         self.shared.active.store(false, Ordering::Release);
         let payload = self
             .shared
@@ -542,7 +562,6 @@ impl WorkerPool {
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-        let _ = caller_panicked;
     }
 }
 
@@ -656,6 +675,49 @@ mod tests {
         });
         let expected: Vec<usize> = (0..103).collect();
         assert_eq!(items, expected, "every element written by its own chunk");
+    }
+
+    #[test]
+    fn map_keeps_order_and_runs_each_index_exactly_once() {
+        for policy in WaitPolicy::ALL {
+            let pool = pool_with(2, policy);
+            for n in [0usize, 1, 2, 7, 64] {
+                let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let squares = pool.map(n, 3, &|i| {
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                    i * i
+                });
+                assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+                assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn map_reraises_the_first_panic_payload() {
+        let pool = pool_with(2, WaitPolicy::Yield);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(8, 3, &|i| {
+                if i == 5 {
+                    panic!("map payload");
+                }
+                i
+            })
+        }));
+        let payload = caught.expect_err("the map panic must propagate to the caller");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("map payload"));
+        assert_eq!(pool.map(4, 3, &|i| i + 1), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn map_of_one_item_or_one_participant_runs_inline() {
+        let pool = pool_with(2, WaitPolicy::Yield);
+        assert_eq!(pool.map(1, 8, &|i| i + 10), vec![10]);
+        assert_eq!(pool.map(6, 1, &|i| i * 2), vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(pool.map(0, 8, &|i| i), Vec::<usize>::new());
+        assert_eq!(pool.dispatches(), 0, "inline maps must not dispatch");
+        assert_eq!(pool.map(6, 3, &|i| i), (0..6).collect::<Vec<_>>());
+        assert_eq!(pool.dispatches(), 1, "a real map must dispatch once");
     }
 
     #[test]

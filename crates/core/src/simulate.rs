@@ -6,12 +6,14 @@
 //!
 //! * [`simulate_trajectory`] — a single trajectory of flat state indices,
 //! * [`Simulator`] — reproducible parallel ensembles of independent replicas
-//!   (rayon work-stealing over replicas, one deterministic ChaCha stream per
-//!   replica so results do not depend on the number of worker threads). The
-//!   flat-index entry point [`Simulator::run`] serves the exactly-analysable
-//!   games; the in-place entry point [`Simulator::run_profiles`] serves
-//!   large-`n` games whose profile space does not fit a flat index, streaming
-//!   a [`ProfileObservable`](crate::observables::ProfileObservable) every `k`
+//!   (an ordered map over replicas on the simulator's
+//!   [`WorkerPool`](crate::runtime::WorkerPool), one deterministic ChaCha
+//!   stream per replica so results do not depend on the number of worker
+//!   threads). The flat-index entry point [`Simulator::run`] serves the
+//!   exactly-analysable games; the in-place entry point
+//!   [`Simulator::run_profiles`] serves large-`n` games whose profile space
+//!   does not fit a flat index, streaming a
+//!   [`ProfileObservable`](crate::observables::ProfileObservable) every `k`
 //!   steps instead of touching final states only,
 //! * [`EmpiricalLaw`] — the empirical distribution of an observable across
 //!   replicas, the `|S|`-free replacement for the per-state empirical vector,
@@ -28,7 +30,6 @@ use logit_linalg::Vector;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Simulates a single trajectory of `steps` transitions starting from the flat
 /// state index `start`, returning every visited state (including the start, so
@@ -365,11 +366,12 @@ impl TemperedEnsembleResult {
 
 /// Reproducible parallel ensemble simulator.
 ///
-/// Parallel execution (the pipelined farm, tempered runs) goes through one
-/// persistent [`WorkerPool`](crate::runtime::WorkerPool) per simulator,
-/// spawned lazily on the first parallel run and configured by the
-/// simulator's [`RuntimeConfig`] — worker counts, wait policy and pinning
-/// never affect results (the bit-identity contract), only throughput.
+/// Parallel execution (replica maps, the pipelined farm, tempered runs)
+/// goes through one persistent [`WorkerPool`](crate::runtime::WorkerPool)
+/// per simulator, spawned lazily on the first parallel run and configured
+/// by the simulator's [`RuntimeConfig`] — worker counts, wait policy and
+/// pinning never affect results (the bit-identity contract), only
+/// throughput.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     seed: u64,
@@ -446,6 +448,21 @@ impl Simulator {
         }
     }
 
+    /// `[f(0), …, f(replicas - 1)]` on the simulator's pool, with up to
+    /// one stepping thread per resolved worker. A single replica or a
+    /// single worker runs inline without spawning the pool.
+    fn map_replicas<T, F>(&self, f: &F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let workers = self.runtime.resolved_workers();
+        if workers.min(self.replicas) <= 1 {
+            return (0..self.replicas).map(f).collect();
+        }
+        self.pool().map(self.replicas, workers, f)
+    }
+
     /// Drives `ticks` coloured block ticks of `engine` — which must be
     /// built on the **relabelled** game of `layout` — from the
     /// original-label profile `start`, through the simulator's persistent
@@ -494,6 +511,10 @@ impl Simulator {
     /// The observable is evaluated on the *flat index*; use
     /// `dynamics.space().profile_of(idx)` inside the closure when the profile
     /// itself is needed.
+    ///
+    /// Replicas are mapped over the simulator's pool, so this must not be
+    /// called from inside a job running on that pool (nested dispatch
+    /// panics).
     pub fn run<G, U, F>(
         &self,
         dynamics: &DynamicsEngine<G, U>,
@@ -507,19 +528,16 @@ impl Simulator {
         F: Fn(usize) -> f64 + Sync,
     {
         assert!(start < dynamics.num_states(), "start state out of range");
-        let final_states: Vec<usize> = (0..self.replicas)
-            .into_par_iter()
-            .map(|replica| {
-                // Independent, reproducible stream per replica.
-                let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
-                let mut scratch = Scratch::for_game(dynamics.game());
-                let mut state = start;
-                for _ in 0..steps {
-                    state = dynamics.step_indexed(state, &mut scratch, &mut rng);
-                }
-                state
-            })
-            .collect();
+        let final_states = self.map_replicas(&|replica| {
+            // Independent, reproducible stream per replica.
+            let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
+            let mut scratch = Scratch::for_game(dynamics.game());
+            let mut state = start;
+            for _ in 0..steps {
+                state = dynamics.step_indexed(state, &mut scratch, &mut rng);
+            }
+            state
+        });
 
         let mut empirical = Vector::zeros(dynamics.num_states());
         let mut stats = RunningStats::new();
@@ -548,7 +566,8 @@ impl Simulator {
     /// Never builds the flat profile space: games with `n = 10⁵`–`10⁶`
     /// players run fine. Replica streams use the same seed derivation as
     /// [`Self::run`], so on small games the two engines agree replica by
-    /// replica.
+    /// replica. Like [`Self::run`], it maps replicas over the simulator's
+    /// pool and must not be called from inside a job on that pool.
     pub fn run_profiles<G, U, O>(
         &self,
         dynamics: &DynamicsEngine<G, U>,
@@ -576,6 +595,7 @@ impl Simulator {
     /// [`SelectionSchedule`](crate::schedules::SelectionSchedule): each step
     /// is one schedule *tick* (a single player for the sequential schedules,
     /// a whole block of `n` updates for the parallel all-logit schedule).
+    /// Must not be called from inside a job on the simulator's pool.
     pub fn run_profiles_scheduled<G, U, S, O>(
         &self,
         dynamics: &DynamicsEngine<G, U>,
@@ -622,33 +642,30 @@ impl Simulator {
 
         let times = sample_times(steps, sample_every);
 
-        let per_replica: Vec<Vec<f64>> = (0..self.replicas)
-            .into_par_iter()
-            .map(|replica| {
-                let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
-                let mut scratch = Scratch::for_game(dynamics.game());
-                let mut profile = start.to_vec();
-                let mut values = Vec::with_capacity(times.len());
-                let mut t = 0u64;
-                for &target in &times {
-                    while t < target {
-                        match schedule {
-                            // The default uniform single-player path keeps the
-                            // dedicated (and bit-compatible) fast path.
-                            None => {
-                                dynamics.step_profile(&mut profile, &mut scratch, &mut rng);
-                            }
-                            Some(s) => {
-                                dynamics.step_scheduled(s, t, &mut profile, &mut scratch, &mut rng);
-                            }
+        let per_replica = self.map_replicas(&|replica| {
+            let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
+            let mut scratch = Scratch::for_game(dynamics.game());
+            let mut profile = start.to_vec();
+            let mut values = Vec::with_capacity(times.len());
+            let mut t = 0u64;
+            for &target in &times {
+                while t < target {
+                    match schedule {
+                        // The default uniform single-player path keeps the
+                        // dedicated (and bit-compatible) fast path.
+                        None => {
+                            dynamics.step_profile(&mut profile, &mut scratch, &mut rng);
                         }
-                        t += 1;
+                        Some(s) => {
+                            dynamics.step_scheduled(s, t, &mut profile, &mut scratch, &mut rng);
+                        }
                     }
-                    values.push(observable.evaluate_profile(&profile));
+                    t += 1;
                 }
-                values
-            })
-            .collect();
+                values.push(observable.evaluate_profile(&profile));
+            }
+            values
+        });
 
         let mut series = vec![RunningStats::new(); times.len()];
         for values in &per_replica {
@@ -952,13 +969,38 @@ mod tests {
 
     #[test]
     fn ensemble_is_reproducible_and_thread_count_independent() {
-        let game = WellGame::plateau(4, 1.0);
-        let d = LogitDynamics::new(game, 0.8);
-        let sim = Simulator::new(123, 64);
-        let a = sim.run(&d, 0, 50, |s| s as f64);
-        let b = sim.run(&d, 0, 50, |s| s as f64);
-        assert_eq!(a.final_states, b.final_states);
-        assert_eq!(a.observable_stats.mean(), b.observable_stats.mean());
+        use crate::observables::PotentialObservable;
+        use crate::schedules::SystematicSweep;
+        let game = GraphicalCoordinationGame::new(
+            GraphBuilder::ring(6),
+            CoordinationGame::from_deltas(2.0, 1.0),
+        );
+        let d = LogitDynamics::new(game.clone(), 1.1);
+        let obs = PotentialObservable::new(game);
+        let start = [0usize; 6];
+        // `{:?}` prints every f64 in its shortest round-trip form, so equal
+        // renderings mean bit-equal final states, series moments and finals.
+        let outcome = |workers: usize| {
+            let runtime = crate::runtime::RuntimeConfig {
+                workers,
+                ..crate::runtime::RuntimeConfig::default()
+            };
+            let sim = Simulator::with_runtime(31, 7, runtime);
+            let flat = sim.run(&d, 0, 80, |s| s as f64);
+            let uniform = sim.run_profiles(&d, &start, 90, 20, &obs);
+            let scheduled = sim.run_profiles_scheduled(&d, &SystematicSweep, &start, 90, 20, &obs);
+            let expected_dispatches = if workers > 1 { 3 } else { 0 };
+            assert_eq!(
+                sim.pool().dispatches(),
+                expected_dispatches,
+                "{workers} workers"
+            );
+            format!("{:?} {uniform:?} {scheduled:?}", flat.final_states)
+        };
+        let single = outcome(1);
+        assert_eq!(single, outcome(1), "rerun");
+        assert_eq!(single, outcome(2), "1 vs 2 workers");
+        assert_eq!(single, outcome(3), "1 vs 3 workers");
     }
 
     #[test]

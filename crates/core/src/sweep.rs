@@ -2,17 +2,19 @@
 //!
 //! Every experiment table is a sweep over β (and sometimes n or the topology)
 //! of the measured mixing/relaxation time alongside the paper's bound. The
-//! sweeps parallelise over the parameter grid with rayon — each grid point is an
-//! independent exact computation — which is where the multi-core speedup of the
-//! harness comes from.
+//! sweeps parallelise over the parameter grid on a
+//! [`WorkerPool`](crate::runtime::WorkerPool) built per call
+//! ([`map_on_env_pool`], sized by `LOGIT_WORKERS`) — each grid point is an
+//! independent exact computation — which is where the multi-core speedup of
+//! the harness comes from. Do not call the β-sweeps from inside a pool job.
 
 use crate::estimate::{exact_mixing_time, exact_mixing_time_with_rule, MixingMeasurement};
 use crate::observables::ProfileObservable;
 use crate::rules::{Logit, UpdateRule};
+use crate::runtime::map_on_env_pool;
 use crate::simulate::{EmpiricalLaw, Simulator};
 use crate::DynamicsEngine;
 use logit_games::{Game, PotentialGame};
-use rayon::prelude::*;
 
 /// One row of a β-sweep table.
 #[derive(Debug, Clone)]
@@ -36,14 +38,11 @@ where
     G: PotentialGame + Sync,
 {
     let delta_phi = game.max_global_variation();
-    betas
-        .par_iter()
-        .map(|&beta| BetaSweepRow {
-            beta,
-            measurement: exact_mixing_time(game, beta, epsilon, max_time),
-            delta_phi,
-        })
-        .collect()
+    map_on_env_pool(betas.len(), &|k| BetaSweepRow {
+        beta: betas[k],
+        measurement: exact_mixing_time(game, betas[k], epsilon, max_time),
+        delta_phi,
+    })
 }
 
 /// [`beta_sweep`] under an arbitrary [`UpdateRule`]: exact per-β mixing
@@ -62,14 +61,11 @@ where
     U: UpdateRule,
 {
     let delta_phi = game.max_global_variation();
-    betas
-        .par_iter()
-        .map(|&beta| BetaSweepRow {
-            beta,
-            measurement: exact_mixing_time_with_rule(game, rule.clone(), beta, epsilon, max_time),
-            delta_phi,
-        })
-        .collect()
+    map_on_env_pool(betas.len(), &|k| BetaSweepRow {
+        beta: betas[k],
+        measurement: exact_mixing_time_with_rule(game, rule.clone(), betas[k], epsilon, max_time),
+        delta_phi,
+    })
 }
 
 /// A named extra CSV column: header plus a function of the sweep row.

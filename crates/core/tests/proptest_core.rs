@@ -704,16 +704,14 @@ proptest! {
         prop_assert!(hits.iter().all(|&h| h == 1), "one update per player per round");
     }
 
-    /// Coloured-engine bit-identity, the tentpole pin (satellite proptest):
-    /// `step_coloured_par` (per-tick scoped threads) and
-    /// `step_coloured_pooled` (persistent worker pool) — frozen-profile
-    /// staged block, per-player RNG streams, any worker count, any wait
-    /// policy, any narrow-class threshold — walk exactly the trajectory of
-    /// the sequential in-place class sweep `step_coloured`, for every update
-    /// rule on random graph topologies. This is the non-neighbours-commute
-    /// argument made executable.
+    /// Coloured-engine bit-identity: `step_coloured_pooled` (persistent
+    /// worker pool) — frozen-profile staged block, per-player RNG streams,
+    /// any worker count, any wait policy, any narrow-class threshold —
+    /// walks exactly the trajectory of the sequential in-place class sweep
+    /// `step_coloured`, for every update rule on random graph topologies.
+    /// This is the non-neighbours-commute argument made executable.
     #[test]
-    fn coloured_par_is_bit_identical_to_the_sequential_class_sweep(
+    fn coloured_pooled_is_bit_identical_to_the_sequential_class_sweep(
         seed in 0u64..10_000,
         n in 4usize..12,
         p in 0.2f64..0.9,
@@ -741,14 +739,12 @@ proptest! {
         };
         let pool = WorkerPool::new(&config);
 
-        #[allow(clippy::too_many_arguments)]
         fn check<U: UpdateRule>(
             game: &GraphicalCoordinationGame,
             coloring: &logit_graphs::Coloring,
             rule: U,
             beta: f64,
             seed: u64,
-            workers: usize,
             pool: &WorkerPool,
             config: &RuntimeConfig,
         ) -> Result<(), TestCaseError> {
@@ -756,15 +752,11 @@ proptest! {
             let n = game.num_players();
             let mut scratch = Scratch::for_game(game);
             let mut pooled_scratch = Scratch::for_game(game);
-            let mut staged = Vec::new();
             let mut pooled_staged = Vec::new();
             let mut seq = vec![0usize; n];
-            let mut par = vec![0usize; n];
             let mut pooled = vec![0usize; n];
             for t in 0..2 * coloring.num_classes() as u64 + 3 {
                 let moved_seq = d.step_coloured(coloring, t, seed, &mut seq, &mut scratch);
-                let moved_par =
-                    d.step_coloured_par(coloring, t, seed, &mut par, &mut staged, workers);
                 let moved_pooled = d.step_coloured_pooled(
                     coloring,
                     t,
@@ -775,32 +767,29 @@ proptest! {
                     pool,
                     config,
                 );
-                prop_assert_eq!(&seq, &par, "scoped diverged at t = {} ({} workers)", t, workers);
                 prop_assert_eq!(
                     &seq, &pooled,
                     "pooled diverged at t = {} ({} workers, {} policy, threshold {})",
-                    t, workers, config.wait_policy.name(), config.min_class_size
+                    t, config.workers, config.wait_policy.name(), config.min_class_size
                 );
-                prop_assert_eq!(moved_seq, moved_par);
                 prop_assert_eq!(moved_seq, moved_pooled);
             }
             Ok(())
         }
 
-        check(&game, &coloring, Logit, beta, seed, workers, &pool, &config)?;
-        check(&game, &coloring, MetropolisLogit, beta, seed, workers, &pool, &config)?;
+        check(&game, &coloring, Logit, beta, seed, &pool, &config)?;
+        check(&game, &coloring, MetropolisLogit, beta, seed, &pool, &config)?;
         check(
             &game,
             &coloring,
             logit_core::NoisyBestResponse::new(0.15),
             beta,
             seed,
-            workers,
             &pool,
             &config,
         )?;
-        check(&game, &coloring, Fermi, beta, seed, workers, &pool, &config)?;
-        check(&game, &coloring, ImitateBetter::new(0.1), beta, seed, workers, &pool, &config)?;
+        check(&game, &coloring, Fermi, beta, seed, &pool, &config)?;
+        check(&game, &coloring, ImitateBetter::new(0.1), beta, seed, &pool, &config)?;
     }
 
     /// Relabelled-engine bit-identity (memory-locality layer): the byte

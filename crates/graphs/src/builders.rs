@@ -8,6 +8,13 @@
 use crate::graph::Graph;
 use rand::Rng;
 
+/// `rows × cols` for the `kind` lattice constructor, panicking with its size
+/// precondition when the product overflows `usize`.
+fn lattice_size(kind: &str, rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("{kind} size {rows}x{cols} overflows usize"))
+}
+
 /// Factory for the standard topologies used in the experiments.
 ///
 /// All constructors return simple undirected graphs on vertices `0..n`.
@@ -55,8 +62,11 @@ impl GraphBuilder {
     }
 
     /// `rows × cols` grid graph (4-neighbour lattice).
+    ///
+    /// # Panics
+    /// Panics when `rows × cols` overflows `usize`.
     pub fn grid(rows: usize, cols: usize) -> Graph {
-        let n = rows * cols;
+        let n = lattice_size("grid", rows, cols);
         let mut g = Graph::new(n);
         let idx = |r: usize, c: usize| r * cols + c;
         for r in 0..rows {
@@ -74,11 +84,15 @@ impl GraphBuilder {
 
     /// `rows × cols` torus (grid with wrap-around), requires `rows, cols ≥ 3`
     /// so that wrap-around edges are neither self-loops nor duplicates.
+    ///
+    /// # Panics
+    /// Panics when a dimension is below 3 or `rows × cols` overflows `usize`.
     pub fn torus(rows: usize, cols: usize) -> Graph {
         assert!(
             rows >= 3 && cols >= 3,
             "torus requires both dimensions >= 3, got {rows}x{cols}"
         );
+        lattice_size("torus", rows, cols);
         let mut g = Self::grid(rows, cols);
         let idx = |r: usize, c: usize| r * cols + c;
         for r in 0..rows {
@@ -92,8 +106,14 @@ impl GraphBuilder {
 
     /// Hypercube on `2^d` vertices; vertices are adjacent when their indices
     /// differ in exactly one bit.
+    ///
+    /// # Panics
+    /// Panics when `2^d` overflows `usize` (`d ≥ usize::BITS`).
     pub fn hypercube(d: usize) -> Graph {
-        let n = 1usize << d;
+        let n = u32::try_from(d)
+            .ok()
+            .and_then(|shift| 1usize.checked_shl(shift))
+            .unwrap_or_else(|| panic!("hypercube size 2^{d} overflows usize"));
         let mut g = Graph::new(n);
         for u in 0..n {
             for b in 0..d {
@@ -107,8 +127,14 @@ impl GraphBuilder {
     }
 
     /// Complete bipartite graph `K_{a,b}`; the first `a` vertices form one side.
+    ///
+    /// # Panics
+    /// Panics when `a + b` overflows `usize`.
     pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-        let mut g = Graph::new(a + b);
+        let n = a
+            .checked_add(b)
+            .unwrap_or_else(|| panic!("complete bipartite size {a} + {b} overflows usize"));
+        let mut g = Graph::new(n);
         for u in 0..a {
             for v in 0..b {
                 g.add_edge(u, a + v);
@@ -138,14 +164,17 @@ impl GraphBuilder {
     ///
     /// # Panics
     /// Panics for `k < 1` or `n < 2k + 1` (the windows must not cover the
-    /// whole ring).
+    /// whole ring), and when the edge count `n × k` overflows `usize`.
     pub fn circulant(n: usize, k: usize) -> Graph {
         assert!(k >= 1, "circulant needs at least one neighbour per side");
         assert!(
-            n > 2 * k,
+            k.checked_mul(2).is_some_and(|two_k| n > two_k),
             "circulant needs n >= 2k + 1, got n = {n}, k = {k}"
         );
-        let mut edges = Vec::with_capacity(n * k);
+        let edge_count = n
+            .checked_mul(k)
+            .unwrap_or_else(|| panic!("circulant edge count {n} x {k} overflows usize"));
+        let mut edges = Vec::with_capacity(edge_count);
         for u in 0..n {
             for d in 1..=k {
                 edges.push((u, (u + d) % n));
@@ -305,6 +334,46 @@ mod tests {
     #[should_panic(expected = "n >= 2k + 1")]
     fn circulant_window_overlap_rejected() {
         let _ = GraphBuilder::circulant(6, 3);
+    }
+
+    // Oversized topologies must panic with the constructor's documented
+    // precondition in release builds too, where unchecked arithmetic would
+    // wrap to a small size and allocate until the process aborts.
+
+    #[test]
+    #[should_panic(expected = "circulant needs n >= 2k + 1")]
+    fn circulant_window_overflow_rejected() {
+        let _ = GraphBuilder::circulant(10, 1 << 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "circulant edge count")]
+    fn circulant_edge_count_overflow_rejected() {
+        let _ = GraphBuilder::circulant(usize::MAX, 1 << 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid size")]
+    fn grid_size_overflow_rejected() {
+        let _ = GraphBuilder::grid(1 << 33, 1 << 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "torus size")]
+    fn torus_size_overflow_rejected() {
+        let _ = GraphBuilder::torus(1 << 33, 1 << 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "hypercube size 2^")]
+    fn hypercube_size_overflow_rejected() {
+        let _ = GraphBuilder::hypercube(usize::BITS as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "complete bipartite size")]
+    fn complete_bipartite_size_overflow_rejected() {
+        let _ = GraphBuilder::complete_bipartite(usize::MAX, 1);
     }
 
     #[test]
